@@ -35,8 +35,8 @@ int main() {
         const double t_fft = comm::traditional_fft_comm_time(n, p, beta_link);
         const double t_ours = comm::lowcomm_comm_time(n, k, r, p, beta_link);
         table.row({std::to_string(n), std::to_string(p), std::to_string(k),
-                   format_fixed(r, 0), format_fixed(t_fft, 4),
-                   format_fixed(t_ours, 4),
+                   format_fixed(r, 0), format_sig(t_fft, 4),
+                   format_sig(t_ours, 4),
                    format_fixed(t_fft / t_ours, 1) + "x"});
       }
     }

@@ -281,6 +281,20 @@ void SimCluster::reset_stats() {
   }
 }
 
+std::shared_ptr<const void> SimCluster::memo_slot(
+    std::type_index type, const std::string& key,
+    const std::function<std::shared_ptr<const void>()>& build) {
+  std::lock_guard lock(memo_mutex_);
+  if (memo_value_ == nullptr || memo_type_ != type || memo_key_ != key) {
+    // Release the old object before building: only one is ever held.
+    memo_value_.reset();
+    memo_value_ = build();
+    memo_type_ = type;
+    memo_key_ = key;
+  }
+  return memo_value_;
+}
+
 void SimCluster::barrier_wait(int rank) {
   // Single clock sample pair for the counter AND the "comm.barrier" trace
   // span (see recv): critical-path attribution must sum exactly.

@@ -14,8 +14,12 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <span>
+#include <string>
+#include <typeindex>
+#include <typeinfo>
 #include <vector>
 
 #include "comm/cost_model.hpp"
@@ -216,6 +220,21 @@ class SimCluster {
   /// cluster is reset to a clean, reusable state before rethrowing.
   void run(const std::function<void(Rank&)>& body);
 
+  /// One-slot memo for state derived from this cluster's shape (the octree
+  /// exchange plan of core::distributed_lowcomm_convolve): returns the kept
+  /// object when `key` and T match the last call's, otherwise drops it,
+  /// keeps `build()`'s result instead, and returns that. Type-erased so
+  /// comm does not depend on its users; the object lives until replaced or
+  /// until the cluster is destroyed. Call from outside run().
+  template <class T, class Build>
+  [[nodiscard]] std::shared_ptr<const T> memo(const std::string& key,
+                                              Build&& build) {
+    return std::static_pointer_cast<const T>(
+        memo_slot(typeid(T), key, [&]() -> std::shared_ptr<const void> {
+          return build();
+        }));
+  }
+
  private:
   friend class Rank;
 
@@ -253,6 +272,9 @@ class SimCluster {
   }
   void barrier_wait(int rank);
   void abort_run();
+  std::shared_ptr<const void> memo_slot(
+      std::type_index type, const std::string& key,
+      const std::function<std::shared_ptr<const void>()>& build);
   void throw_if_aborted() const {
     if (aborted_.load()) throw RankAborted();
   }
@@ -280,6 +302,11 @@ class SimCluster {
   // (bit-identical across runs) and the barriers provide the
   // happens-before edges — no mutex, no arrival-order dependence.
   std::vector<double> reduce_slots_;
+
+  std::mutex memo_mutex_;
+  std::type_index memo_type_ = typeid(void);
+  std::string memo_key_;
+  std::shared_ptr<const void> memo_value_;
 };
 
 }  // namespace lc::comm

@@ -58,4 +58,10 @@ std::string format_fixed(double value, int precision) {
   return os.str();
 }
 
+std::string format_sig(double value, int digits) {
+  std::ostringstream os;
+  os << std::setprecision(digits) << value;
+  return os.str();
+}
+
 }  // namespace lc

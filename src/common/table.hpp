@@ -38,4 +38,8 @@ class TextTable {
 /// Format a double with fixed precision.
 [[nodiscard]] std::string format_fixed(double value, int precision = 2);
 
+/// Format a double with `digits` significant digits (scientific notation
+/// when the magnitude calls for it), for quantities spanning many decades.
+[[nodiscard]] std::string format_sig(double value, int digits = 3);
+
 }  // namespace lc

@@ -1,11 +1,8 @@
 #include "core/pipeline.hpp"
 
 #include <atomic>
-#include <bit>
 #include <cmath>
-#include <functional>
 #include <optional>
-#include <span>
 
 #include "comm/hierarchical.hpp"
 #include "comm/wire_codec.hpp"
@@ -16,7 +13,6 @@
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
-#include "sampling/octree.hpp"
 
 namespace lc::core {
 
@@ -138,265 +134,29 @@ LowCommResult LowCommConvolution::convolve(const RealField& input) const {
   return result;
 }
 
-namespace {
-
-/// Per-cell destination bitmask for one octree: bit r of mask(cell) is set
-/// iff the cell's box overlaps a sub-domain owned by rank r. Built in ONE
-/// pass over (cells × sub-domains) and queried O(1) afterwards — replacing
-/// the per-(cell, destination, owned-box) overlap tests the exchange loops
-/// used to repeat for every use site.
-class CellDestMasks {
- public:
-  CellDestMasks(const sampling::Octree& tree,
-                const DomainDecomposition& decomp,
-                std::span<const int> owner_of, int workers) {
-    const auto cells = tree.cells();
-    words_ = (static_cast<std::size_t>(workers) + 63) / 64;
-    bits_.assign(cells.size() * words_, 0);
-    for (std::size_t ci = 0; ci < cells.size(); ++ci) {
-      const Box3 box = cells[ci].box();
-      for (std::size_t d = 0; d < decomp.count(); ++d) {
-        if (box.intersect(decomp.subdomain(d)).empty()) continue;
-        const auto r = static_cast<std::size_t>(owner_of[d]);
-        bits_[ci * words_ + r / 64] |= std::uint64_t{1} << (r % 64);
-      }
-    }
-  }
-
-  [[nodiscard]] bool needed(std::size_t cell, int rank) const noexcept {
-    const auto r = static_cast<std::size_t>(rank);
-    return (bits_[cell * words_ + r / 64] >> (r % 64)) & 1u;
-  }
-
-  /// Number of destination ranks needing this cell, excluding `self`.
-  [[nodiscard]] int fanout_excluding(std::size_t cell, int self) const
-      noexcept {
-    int n = 0;
-    for (std::size_t w = 0; w < words_; ++w) {
-      n += std::popcount(bits_[cell * words_ + w]);
-    }
-    return n - (needed(cell, self) ? 1 : 0);
-  }
-
- private:
-  std::size_t words_ = 0;
-  std::vector<std::uint64_t> bits_;
-};
-
-/// owner_of[d] = rank owning sub-domain d under the active assignment.
-std::vector<int> invert_assignment(
-    const DomainDecomposition& decomp,
-    const std::vector<std::vector<std::size_t>>& owned) {
-  std::vector<int> owner_of(decomp.count(), 0);
-  for (std::size_t r = 0; r < owned.size(); ++r) {
-    for (const std::size_t d : owned[r]) owner_of[d] = static_cast<int>(r);
-  }
-  return owner_of;
-}
-
-/// Sub-domain owners at node granularity: CellDestMasks built over this
-/// (with workers = topo.nodes()) answers "which NODES need this cell" —
-/// the union over each node's member ranks that drives the per-node packing
-/// dedup of the hierarchical route.
-std::vector<int> node_owner_of(const std::vector<int>& owner_of,
-                               const comm::Topology& topo) {
-  std::vector<int> node_of(owner_of.size());
-  for (std::size_t d = 0; d < owner_of.size(); ++d) {
-    node_of[d] = topo.node_of(owner_of[d]);
-  }
-  return node_of;
-}
-
-/// Source of per-sub-domain octrees for the traffic walkers below: an
-/// engine's cached slots, or trees built on the fly from (grid, params)
-/// when no engine exists (the planner's pricing path).
-using OctreeSource =
-    std::function<std::shared_ptr<const sampling::Octree>(std::size_t)>;
-
-/// sizes[src][D] = WIRE DOUBLES rank src ships to node D under
-/// node-granularity packing and the active wire codec: the encoded bytes of
-/// every packed cell, rounded up to whole doubles once per bundle (exactly
-/// the WireEncoder framing). Every rank computes the full table from the
-/// deterministic octrees — this is the size oracle that frames the
-/// hierarchical exchange without any metadata crossing the wire.
-std::vector<std::vector<std::size_t>> node_bundle_sizes(
-    const DomainDecomposition& decomp, const OctreeSource& octree_for,
-    const std::vector<std::vector<std::size_t>>& owned,
-    const std::vector<int>& node_owners, const comm::Topology& topo,
-    comm::WireCodec codec) {
-  const int nodes = topo.nodes();
-  std::vector<std::vector<std::size_t>> bytes(
-      owned.size(),
-      std::vector<std::size_t>(static_cast<std::size_t>(nodes), 0));
-  for (std::size_t src = 0; src < owned.size(); ++src) {
-    for (const std::size_t d : owned[src]) {
-      const auto tree = octree_for(d);
-      const CellDestMasks masks(*tree, decomp, node_owners, nodes);
-      const auto cells = tree->cells();
-      for (std::size_t ci = 0; ci < cells.size(); ++ci) {
-        for (int n = 0; n < nodes; ++n) {
-          if (masks.needed(ci, n)) {
-            bytes[src][static_cast<std::size_t>(n)] +=
-                comm::encoded_cell_bytes(codec, cells[ci].sample_count());
-          }
-        }
-      }
-    }
-  }
-  for (auto& per_node : bytes) {
-    for (std::size_t& b : per_node) b = comm::wire_doubles(b);
-  }
-  return bytes;
-}
-
-bool routes_hierarchically(ExchangeRoute route, const comm::Topology& topo) {
-  if (route == ExchangeRoute::kFlat) return false;
-  if (route == ExchangeRoute::kHierarchical) return true;
-  return !topo.is_flat();
-}
-
-comm::LevelTraffic exchange_traffic_impl(const DomainDecomposition& decomp,
-                                         const OctreeSource& octree_for,
-                                         const comm::Topology& topo,
-                                         ExchangeRoute route,
-                                         comm::WireCodec codec) {
-  const int workers = topo.ranks();
-  std::vector<std::vector<std::size_t>> owned(
-      static_cast<std::size_t>(workers));
-  for (int r = 0; r < workers; ++r) {
-    owned[static_cast<std::size_t>(r)] = decomp.assigned_to(r, workers);
-  }
-  const std::vector<int> owner_of = invert_assignment(decomp, owned);
-
-  comm::LevelTraffic t;
-  const auto count = [&](bool inter, std::size_t doubles,
-                         std::size_t msgs = 1) {
-    if (inter) {
-      t.inter_bytes += doubles * sizeof(double);
-      t.inter_messages += msgs;
-    } else {
-      t.intra_bytes += doubles * sizeof(double);
-      t.intra_messages += msgs;
-    }
-  };
-
-  if (!routes_hierarchically(route, topo)) {
-    // Flat route: one message per ordered rank pair (empty ones included —
-    // all_to_all ships them too), classified by node co-residency. Encoded
-    // bytes accumulate per pair buffer and round up to whole wire doubles
-    // once per buffer — exactly the WireEncoder framing the run executes.
-    std::vector<std::vector<std::size_t>> pair(
-        static_cast<std::size_t>(workers),
-        std::vector<std::size_t>(static_cast<std::size_t>(workers), 0));
-    for (int src = 0; src < workers; ++src) {
-      for (const std::size_t d : owned[static_cast<std::size_t>(src)]) {
-        const auto tree = octree_for(d);
-        const CellDestMasks masks(*tree, decomp, owner_of, workers);
-        const auto cells = tree->cells();
-        for (std::size_t ci = 0; ci < cells.size(); ++ci) {
-          for (int dst = 0; dst < workers; ++dst) {
-            if (masks.needed(ci, dst)) {
-              pair[static_cast<std::size_t>(src)]
-                  [static_cast<std::size_t>(dst)] +=
-                  comm::encoded_cell_bytes(codec, cells[ci].sample_count());
-            }
-          }
-        }
-      }
-    }
-    for (int src = 0; src < workers; ++src) {
-      for (int dst = 0; dst < workers; ++dst) {
-        if (dst == src) continue;
-        count(!topo.same_node(src, dst),
-              comm::wire_doubles(pair[static_cast<std::size_t>(src)]
-                                     [static_cast<std::size_t>(dst)]));
-      }
-    }
-    return t;
-  }
-
-  // Hierarchical route: replay node_multicast_exchange's schedule on the
-  // oracle sizes — own-node multicast, non-leader gather, one inter message
-  // per ordered node pair, leader redistribution.
-  const std::vector<int> node_owners = node_owner_of(owner_of, topo);
-  const auto sizes =
-      node_bundle_sizes(decomp, octree_for, owned, node_owners, topo, codec);
-  for (int me = 0; me < workers; ++me) {
-    const int my_node = topo.node_of(me);
-    const auto members = topo.members(my_node);
-    const auto peers = members.size() - 1;
-    count(false, peers * sizes[static_cast<std::size_t>(me)]
-                             [static_cast<std::size_t>(my_node)],
-          peers);
-    if (!topo.is_leader(me)) {
-      std::size_t remote = 0;
-      for (int d = 0; d < topo.nodes(); ++d) {
-        if (d != my_node) {
-          remote +=
-              sizes[static_cast<std::size_t>(me)][static_cast<std::size_t>(d)];
-        }
-      }
-      count(false, remote);
-      continue;
-    }
-    for (int d = 0; d < topo.nodes(); ++d) {
-      if (d == my_node) continue;
-      std::size_t combined = 0;
-      for (const int q : members) {
-        combined +=
-            sizes[static_cast<std::size_t>(q)][static_cast<std::size_t>(d)];
-      }
-      // Leaders exchange one combined message per ordered node pair, then
-      // forward each received bundle to every local peer.
-      count(!topo.same_node(me, topo.leader_of(d)), combined);
-      std::size_t inbound = 0;
-      for (const int q : topo.members(d)) {
-        inbound += sizes[static_cast<std::size_t>(q)]
-                        [static_cast<std::size_t>(my_node)];
-      }
-      count(false, peers * inbound, peers);
-    }
-  }
-  return t;
-}
-
-}  // namespace
-
 std::size_t lowcomm_exchange_bytes(const LowCommConvolution& engine,
                                    int workers) {
   // The flat-route mirror on a trivial topology: per ordered rank pair,
   // encoded bundle bytes rounded to whole wire doubles, self-delivery
   // excluded — byte-identical to what a flat SimCluster run records.
-  return exchange_traffic_impl(
-             engine.decomposition(),
-             [&](std::size_t d) { return engine.octree_for(d); },
-             comm::Topology::flat(workers), ExchangeRoute::kFlat,
-             engine.params().wire)
+  return lowcomm_exchange_traffic(engine, comm::Topology::flat(workers),
+                                  ExchangeRoute::kFlat)
       .total_bytes();
 }
 
 comm::LevelTraffic lowcomm_exchange_traffic(const LowCommConvolution& engine,
                                             const comm::Topology& topo,
                                             ExchangeRoute route) {
-  return exchange_traffic_impl(
-      engine.decomposition(),
-      [&](std::size_t d) { return engine.octree_for(d); }, topo, route,
-      engine.params().wire);
+  return ExchangePlan::mirror(
+      engine.decomposition().grid(), engine.params(), topo, route,
+      [&engine](std::size_t d) { return engine.octree_for(d); });
 }
 
 comm::LevelTraffic lowcomm_exchange_traffic(const Grid3& grid,
                                             const LowCommParams& params,
                                             const comm::Topology& topo,
                                             ExchangeRoute route) {
-  const DomainDecomposition decomp(grid, params.subdomain);
-  const auto policy = params.make_policy();
-  return exchange_traffic_impl(
-      decomp,
-      [&](std::size_t d) {
-        return std::make_shared<const sampling::Octree>(
-            grid, decomp.subdomain(d), policy);
-      },
-      topo, route, params.wire);
+  return ExchangePlan::mirror(grid, params, topo, route);
 }
 
 namespace {
@@ -442,18 +202,26 @@ RealField distributed_lowcomm_convolve(
     std::shared_ptr<const green::KernelSpectrum> kernel,
     const LowCommParams& params, ExchangeRoute route) {
   const int workers = cluster.size();
-  const bool hier = routes_hierarchically(route, cluster.topology());
+  const ExchangeRoute resolved = resolve_route(route, cluster.topology());
+  // Built on the cluster's first call with this key (so that call pays for
+  // it), reused by every later one.
+  const std::shared_ptr<const ExchangePlan> plan_ptr =
+      cluster.memo<ExchangePlan>(
+          ExchangePlan::key(grid, params, resolved), [&] {
+            return std::make_shared<const ExchangePlan>(
+                grid, params, cluster.topology(), resolved);
+          });
+  const ExchangePlan& plan = *plan_ptr;
   RealField assembled(grid, 0.0);
   std::mutex assemble_mutex;
 
   // Plan-vs-actual telemetry (DESIGN.md §18): when LC_TELEMETRY is active,
   // freeze the cost-model predictions for THIS (params, topology, route)
-  // before running — exact static traffic mirror, per-level α-β times at
-  // the cluster's own link models, the shared compute formula at the static
-  // default rate (the planner's 2e8 point-passes/s baseline; drift against
-  // it is exactly what the calibration fitter learns from) — then diff the
-  // executed counters into the measured side. Gated on the sink because the
-  // static mirror walks every octree, which is not free on hot test paths.
+  // before running — the plan's exact static traffic mirror, per-level α-β
+  // times at the cluster's own link models, the shared compute formula at
+  // the static default rate (the planner's 2e8 point-passes/s baseline;
+  // drift against it is exactly what the calibration fitter learns from) —
+  // then diff the executed counters into the measured side.
   const bool telemetry = obs::telemetry_enabled();
   obs::Tracer& tracer = obs::Tracer::global();
   obs::PlanOutcome rec;
@@ -468,13 +236,11 @@ RealField distributed_lowcomm_convolve(
     rec.k = params.subdomain;
     rec.far_rate = static_cast<int>(params.far_rate);
     rec.schedule = params.uniform_rate ? "uniform" : "banded";
-    rec.route = hier ? "hierarchical" : "flat";
+    rec.route = plan.hierarchical() ? "hierarchical" : "flat";
     rec.wire = comm::codec_name(params.wire);
     rec.batch = static_cast<std::int64_t>(params.batch);
 
-    const auto traffic = lowcomm_exchange_traffic(
-        grid, params, cluster.topology(),
-        hier ? ExchangeRoute::kHierarchical : ExchangeRoute::kFlat);
+    const comm::LevelTraffic& traffic = plan.traffic();
     rec.pred_bytes = static_cast<std::int64_t>(traffic.total_bytes());
     rec.pred_intra_bytes = static_cast<std::int64_t>(traffic.intra_bytes);
     rec.pred_inter_bytes = static_cast<std::int64_t>(traffic.inter_bytes);
@@ -485,15 +251,14 @@ RealField distributed_lowcomm_convolve(
     rec.pred_inter_s = times.inter_seconds;
     rec.pred_wire_s = times.total_seconds();
 
-    // Compute model: representative central sub-domain octree, the same
-    // formula the planner prices with (obs::modeled_point_passes). The
+    // Compute model: the representative central sub-domain's octree, the
+    // same formula the planner prices with (obs::modeled_point_passes). The
     // half-spectrum scale follows what this run will actually execute.
-    const DomainDecomposition decomp(grid, params.subdomain);
-    const i64 blocks = grid.nx / params.subdomain;
-    const i64 c0 = (blocks / 2) * params.subdomain;
-    const sampling::Octree central(
-        grid, Box3::cube_at({c0, c0, c0}, params.subdomain),
-        params.make_policy());
+    const DomainDecomposition& decomp = plan.decomposition();
+    const auto blocks = static_cast<std::size_t>(grid.nx / params.subdomain);
+    const std::size_t mid = blocks / 2;
+    const sampling::Octree& central =
+        *plan.octree((mid * blocks + mid) * blocks + mid);
     const double owned =
         std::ceil(static_cast<double>(decomp.count()) /
                   static_cast<double>(std::max(workers, 1)));
@@ -549,9 +314,10 @@ RealField distributed_lowcomm_convolve(
   };
 
   const auto body = [&](comm::Rank& rank) {
-    // Every rank builds the same deterministic engine; octrees are
-    // reproducible from (grid, params), so only payloads need to travel
-    // and both sides agree on the framing without any metadata exchange.
+    // Every rank builds the same deterministic engine, seeded with the
+    // plan's octrees: they are reproducible from (grid, params), so only
+    // payloads travel and both sides agree on the framing without any
+    // metadata exchange.
     LocalConvolverConfig cfg;
     cfg.batch = params.batch;
     cfg.pool = nullptr;  // ranks are already threads; keep them single-core
@@ -560,21 +326,10 @@ RealField distributed_lowcomm_convolve(
     device::DeviceContext rank_device(device::DeviceSpec::unlimited());
     if (telemetry) cfg.device = &rank_device;
     LowCommConvolution engine(grid, kernel, params, cfg);
-    const auto& decomp = engine.decomposition();
-    std::vector<std::vector<std::size_t>> owned(
-        static_cast<std::size_t>(workers));
-    for (int r = 0; r < workers; ++r) {
-      owned[static_cast<std::size_t>(r)] = decomp.assigned_to(r, workers);
-    }
-    const auto& mine = owned[static_cast<std::size_t>(rank.id())];
-    const std::vector<int> owner_of = invert_assignment(decomp, owned);
     const int me = rank.id();
+    const auto& mine = plan.owned(me);
+    for (const std::size_t d : mine) engine.seed_octree(d, plan.octree(d));
 
-    // Local convolution of my sub-domains. The destination bitmasks are
-    // computed once per local octree (rank-granularity for the flat route,
-    // node-granularity for the hierarchical one); the pack loops below
-    // query them O(1) per (cell, destination) instead of re-intersecting
-    // owned boxes.
     std::vector<sampling::CompressedField> local;
     local.reserve(mine.size());
     {
@@ -600,149 +355,76 @@ RealField distributed_lowcomm_convolve(
         obs::Registry::global().counter("exchange.bytes_saved");
     static obs::Gauge& max_quant_error =
         obs::Registry::global().gauge("exchange.max_quant_error");
-    // Unique payload leaving a rank, under the active codec: raw samples
-    // shipped keep counting doubles (the pre-codec figure), payload_bytes
-    // counts actual wire bytes, and their difference accumulates into
-    // bytes_saved (saturating: tiny q16 cells can cost more than raw).
-    const auto count_outgoing = [&](const comm::WireEncoder& enc,
-                                    const std::vector<double>& buf) {
-      samples_shipped.add(enc.raw_bytes() / sizeof(double));
-      payload_bytes.add(buf.size() * sizeof(double));
-      const std::size_t wire = buf.size() * sizeof(double);
-      bytes_saved.add(enc.raw_bytes() > wire ? enc.raw_bytes() - wire : 0);
-      max_quant_error.record_max(enc.max_abs_error());
-    };
 
-    // The single global exchange of the method (Fig 1b): per destination,
-    // only the cells whose boxes intersect that destination's regions.
-    std::vector<sampling::CompressedField> contributions;
-    contributions.reserve(decomp.count());
-    if (hier) {
-      // Hierarchical route: pack each cell ONCE per destination NODE — the
-      // union of its member ranks' needs — and let the node-multicast
-      // exchange ship it across the inter-node link a single time. Every
-      // rank of the destination node receives the node bundle and keeps
-      // what its own regions intersect.
-      const comm::Topology& topo = rank.topology();
-      const int nodes = topo.nodes();
-      const int my_node = topo.node_of(me);
-      const std::vector<int> node_owners = node_owner_of(owner_of, topo);
-      std::vector<std::vector<double>> outgoing(
-          static_cast<std::size_t>(nodes));
-      {
-        LC_TRACE("exchange.pack");
-        std::vector<CellDestMasks> local_masks;
-        local_masks.reserve(mine.size());
-        for (const auto& c : local) {
-          local_masks.emplace_back(c.octree(), decomp, node_owners, nodes);
-        }
-        for (int dst = 0; dst < nodes; ++dst) {
-          auto& buf = outgoing[static_cast<std::size_t>(dst)];
-          comm::WireEncoder enc(params.wire, buf);
-          for (std::size_t i = 0; i < mine.size(); ++i) {
-            const auto cells = local[i].octree().cells();
-            const auto payload = local[i].samples();
-            for (std::size_t ci = 0; ci < cells.size(); ++ci) {
-              if (!local_masks[i].needed(ci, dst)) continue;
-              enc.add_cell(payload.subspan(cells[ci].sample_offset,
-                                           cells[ci].sample_count()));
-            }
-          }
-          enc.finish();
-          // Unique payload leaving this rank: each node bundle is packed
-          // (and counted) once however many ranks receive it; the own-node
-          // bundle only counts when node-mates exist to receive it.
-          if (dst != my_node || topo.members(my_node).size() > 1) {
-            count_outgoing(enc, buf);
-          }
-        }
-      }
-      const auto sizes = node_bundle_sizes(
-          decomp, [&](std::size_t d) { return engine.octree_for(d); }, owned,
-          node_owners, topo, params.wire);
-      std::vector<std::vector<double>> bundles;
-      {
-        LC_TRACE("exchange.hierarchical");
-        bundles = comm::node_multicast_exchange(
-            rank, outgoing, [&](int src, int dst_node) {
-              return sizes[static_cast<std::size_t>(src)]
-                          [static_cast<std::size_t>(dst_node)];
-            });
-      }
-
-      // Rebuild the partial remote contributions from the node bundles:
-      // the framing is the node-granularity mask, so cells my node-mates
-      // need are copied too (harmless — accumulation over my regions never
-      // reads them), and cells nobody here needs stay zero.
-      LC_TRACE("exchange.unpack_accumulate");
-      for (int src = 0; src < workers; ++src) {
-        const auto& buf = bundles[static_cast<std::size_t>(src)];
-        comm::WireDecoder dec(params.wire, buf);
-        for (const std::size_t d : owned[static_cast<std::size_t>(src)]) {
-          sampling::CompressedField c(engine.octree_for(d));
-          auto dst_payload = c.samples();
-          const CellDestMasks masks(c.octree(), decomp, node_owners, nodes);
-          const auto cells = c.octree().cells();
+    // The single global exchange of the method (Fig 1b): per destination
+    // group (a rank on the flat route, a node on the hierarchical one),
+    // only the cells whose boxes intersect that group's regions. A cell
+    // several ranks of one node need is packed once for the node, so it
+    // crosses the inter-node link a single time.
+    const int groups = plan.groups();
+    const int my_group = plan.group_of(me);
+    std::vector<std::vector<double>> outgoing(
+        static_cast<std::size_t>(groups));
+    {
+      LC_TRACE("exchange.pack");
+      for (int dst = 0; dst < groups; ++dst) {
+        auto& buf = outgoing[static_cast<std::size_t>(dst)];
+        comm::WireEncoder enc(params.wire, buf);
+        for (std::size_t i = 0; i < mine.size(); ++i) {
+          const auto cells = local[i].octree().cells();
+          const auto payload = local[i].samples();
           for (std::size_t ci = 0; ci < cells.size(); ++ci) {
-            if (!masks.needed(ci, my_node)) continue;
-            const auto& cell = cells[ci];
-            dec.read_cell(dst_payload.subspan(cell.sample_offset,
-                                              cell.sample_count()));
+            if (!plan.needed(mine[i], ci, dst)) continue;
+            enc.add_cell(payload.subspan(cells[ci].sample_offset,
+                                         cells[ci].sample_count()));
           }
-          contributions.push_back(std::move(c));
         }
-        dec.finish();
+        enc.finish();
+        // Unique payload leaving this rank, under the active codec: raw
+        // samples shipped keep counting doubles (the pre-codec figure),
+        // payload_bytes counts actual wire bytes, and their difference
+        // accumulates into bytes_saved (saturating: tiny q16 cells can cost
+        // more than raw). Each bundle counts once however many ranks
+        // receive it; the own-group bundle only when group-mates exist.
+        if (dst != my_group || plan.group_size(my_group) > 1) {
+          const std::size_t wire = buf.size() * sizeof(double);
+          samples_shipped.add(enc.raw_bytes() / sizeof(double));
+          payload_bytes.add(wire);
+          bytes_saved.add(enc.raw_bytes() > wire ? enc.raw_bytes() - wire
+                                                 : 0);
+          max_quant_error.record_max(enc.max_abs_error());
+        }
       }
+    }
+    std::vector<std::vector<double>> incoming;
+    if (plan.hierarchical()) {
+      LC_TRACE("exchange.hierarchical");
+      incoming = comm::node_multicast_exchange(
+          rank, outgoing,
+          [&](int src, int node) { return plan.doubles(src, node); });
     } else {
-      std::vector<std::vector<double>> outgoing(
-          static_cast<std::size_t>(workers));
-      {
-        LC_TRACE("exchange.pack");
-        std::vector<CellDestMasks> local_masks;
-        local_masks.reserve(mine.size());
-        for (const auto& c : local) {
-          local_masks.emplace_back(c.octree(), decomp, owner_of, workers);
-        }
-        for (int dst = 0; dst < workers; ++dst) {
-          auto& buf = outgoing[static_cast<std::size_t>(dst)];
-          comm::WireEncoder enc(params.wire, buf);
-          for (std::size_t i = 0; i < mine.size(); ++i) {
-            const auto cells = local[i].octree().cells();
-            const auto payload = local[i].samples();
-            for (std::size_t ci = 0; ci < cells.size(); ++ci) {
-              if (!local_masks[i].needed(ci, dst)) continue;
-              enc.add_cell(payload.subspan(cells[ci].sample_offset,
-                                           cells[ci].sample_count()));
-            }
-          }
-          enc.finish();
-          if (dst != me) {
-            count_outgoing(enc, buf);
-          }
-        }
-      }
-      std::vector<std::vector<double>> incoming;
-      {
-        LC_TRACE("exchange.all_to_all");
-        incoming = rank.all_to_all(outgoing);
-      }
+      LC_TRACE("exchange.all_to_all");
+      incoming = rank.all_to_all(outgoing);
+    }
 
-      // Rebuild the partial remote contributions: cells not received stay
-      // zero, but accumulation over my regions never reads them.
+    // Rebuild the partial remote contributions: cells not received stay
+    // zero, and so do cells only my node-mates needed on the hierarchical
+    // route — accumulation over my regions never reads either.
+    std::vector<sampling::CompressedField> contributions;
+    contributions.reserve(plan.decomposition().count());
+    {
       LC_TRACE("exchange.unpack_accumulate");
       for (int src = 0; src < workers; ++src) {
-        const auto& buf = incoming[static_cast<std::size_t>(src)];
-        comm::WireDecoder dec(params.wire, buf);
-        for (const std::size_t d : owned[static_cast<std::size_t>(src)]) {
-          sampling::CompressedField c(engine.octree_for(d));
+        comm::WireDecoder dec(params.wire,
+                              incoming[static_cast<std::size_t>(src)]);
+        for (const std::size_t d : plan.owned(src)) {
+          sampling::CompressedField c(plan.octree(d));
           auto dst_payload = c.samples();
-          const CellDestMasks masks(c.octree(), decomp, owner_of, workers);
           const auto cells = c.octree().cells();
           for (std::size_t ci = 0; ci < cells.size(); ++ci) {
-            if (!masks.needed(ci, me)) continue;
-            const auto& cell = cells[ci];
-            dec.read_cell(dst_payload.subspan(cell.sample_offset,
-                                              cell.sample_count()));
+            if (!plan.needed(d, ci, my_group)) continue;
+            dec.read_cell(dst_payload.subspan(cells[ci].sample_offset,
+                                              cells[ci].sample_count()));
           }
           contributions.push_back(std::move(c));
         }
@@ -753,7 +435,7 @@ RealField distributed_lowcomm_convolve(
     // Accumulate the regions this rank owns; stitch into the shared result
     // (simulating the distributed output staying in place).
     for (const std::size_t d : mine) {
-      const Box3& box = decomp.subdomain(d);
+      const Box3& box = plan.decomposition().subdomain(d);
       const RealField tile =
           accumulate_region(contributions, box, params.interpolation);
       std::lock_guard lock(assemble_mutex);

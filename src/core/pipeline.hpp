@@ -16,6 +16,7 @@
 #include "comm/wire_codec.hpp"
 #include "core/accumulator.hpp"
 #include "core/decomposition.hpp"
+#include "core/exchange_plan.hpp"
 #include "core/local_convolver.hpp"
 
 namespace lc::core {
@@ -104,13 +105,6 @@ class LowCommConvolution {
   mutable std::vector<OctreeSlot> octrees_;
 };
 
-/// How distributed_lowcomm_convolve routes its single sample exchange.
-enum class ExchangeRoute {
-  kAuto,          ///< hierarchical on grouped topologies, flat otherwise
-  kFlat,          ///< one message per ordered rank pair (Rank::all_to_all)
-  kHierarchical,  ///< node-multicast exchange (comm/hierarchical.hpp)
-};
-
 /// Distributed run over a simulated cluster: ranks convolve their assigned
 /// sub-domains locally, then exchange compressed samples in ONE
 /// personalised exchange — each octree cell's samples travel only to the
@@ -119,6 +113,11 @@ enum class ExchangeRoute {
 /// its own sub-domains. Returns the assembled full field (stitched in
 /// shared memory for verification) and leaves the byte / round counts in
 /// `cluster.stats()`.
+///
+/// The exchange metadata (octrees, destination masks, size table) comes
+/// from an ExchangePlan kept in the cluster's memo slot: the first call for
+/// a given (grid, sampling params, codec, route) builds it, later calls on
+/// the same cluster reuse it and only move payloads.
 ///
 /// On a grouped topology the default route packs each cell ONCE per
 /// destination NODE (the union of its member ranks' needs) and ships it

@@ -213,7 +213,12 @@ void CompressedField::reconstruct_add_rows(std::span<double> out,
   AlignedVector<double> crow;
   AlignedVector<double> xfrac;
 
-  for (const auto& c : tree_->cells()) {
+  // Only the cells in the region's Morton key range can overlap it; they
+  // are visited in the same (ascending) order as a full scan.
+  const auto cells = tree_->cells();
+  const auto [first, last] = tree_->cell_range(region);
+  for (std::size_t ci = first; ci < last; ++ci) {
+    const OctreeCell& c = cells[ci];
     const Box3 overlap = c.box().intersect(region);
     if (overlap.empty()) continue;
     if (c.rate == 1) {

@@ -278,4 +278,27 @@ const OctreeCell& Octree::cell_containing(const Index3& p) const {
   throw InternalError("octree cells do not tile the grid at " + p.str());
 }
 
+std::pair<std::size_t, std::size_t> Octree::cell_range(const Box3& box) const {
+  if (cell_keys_.empty() || box.empty()) return {0, cells_.size()};
+  // The enclosing block's side is 2^s for the highest bit in which the
+  // box's first and last coordinates differ on any axis; its points are
+  // exactly the keys [key(corner), key(corner) + 8^s).
+  const auto diff = static_cast<std::uint64_t>((box.lo.x ^ (box.hi.x - 1)) |
+                                               (box.lo.y ^ (box.hi.y - 1)) |
+                                               (box.lo.z ^ (box.hi.z - 1)));
+  const int s = std::bit_width(diff);
+  const Index3 corner{box.lo.x >> s << s, box.lo.y >> s << s,
+                      box.lo.z >> s << s};
+  const std::uint64_t lo = morton_key(corner, levels_);
+  const std::uint64_t hi = lo + (std::uint64_t{1} << (3 * s));
+  // Leaves tile the key space in order, so the overlapping ones run from
+  // the leaf containing `lo` (keys_[0] == 0 ≤ lo) to the last leaf
+  // starting below `hi`.
+  const auto first =
+      std::upper_bound(cell_keys_.begin(), cell_keys_.end(), lo) - 1;
+  const auto last = std::lower_bound(first, cell_keys_.end(), hi);
+  return {static_cast<std::size_t>(first - cell_keys_.begin()),
+          static_cast<std::size_t>(last - cell_keys_.begin())};
+}
+
 }  // namespace lc::sampling

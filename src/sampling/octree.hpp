@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "sampling/sampling_policy.hpp"
@@ -92,6 +93,15 @@ class Octree {
   /// are stored in Morton (octant-recursion) order, so the containing cell
   /// is the predecessor of p's interleaved key in the sorted key array.
   [[nodiscard]] const OctreeCell& cell_containing(const Index3& p) const;
+
+  /// Index range [first, last) of cells() holding every cell that can
+  /// overlap `box` (a box inside the grid): the cells whose Morton key
+  /// ranges meet that of the smallest aligned power-of-two block enclosing
+  /// the box. Cells outside the range never overlap it; cells inside may
+  /// not either (the block is larger than the box). The full range when
+  /// the lookup index is absent.
+  [[nodiscard]] std::pair<std::size_t, std::size_t> cell_range(
+      const Box3& box) const;
 
  private:
   Octree(const Grid3& grid, const Box3& subdomain);  // for decode

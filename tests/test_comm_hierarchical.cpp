@@ -5,7 +5,13 @@
 // only the routing may change).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "comm/cost_model.hpp"
@@ -15,6 +21,7 @@
 #include "common/rng.hpp"
 #include "core/pipeline.hpp"
 #include "green/gaussian.hpp"
+#include "green/kernel.hpp"
 
 namespace lc::comm {
 namespace {
@@ -246,6 +253,16 @@ class LowCommPipelineHierarchical : public ::testing::Test {
     for (auto& v : f.span()) v = rng.uniform(-1.0, 1.0);
     return f;
   }
+
+  static void expect_bit_equal(const RealField& want, const RealField& got,
+                               const std::string& what) {
+    const auto ws = want.span();
+    const auto gs = got.span();
+    ASSERT_EQ(ws.size(), gs.size()) << what;
+    for (std::size_t i = 0; i < ws.size(); ++i) {
+      ASSERT_EQ(ws[i], gs[i]) << what << " at " << i;
+    }
+  }
 };
 
 TEST_F(LowCommPipelineHierarchical, RouteMatchesFlatExchange) {
@@ -454,13 +471,144 @@ TEST_F(LowCommPipelineWire, RepeatedRunsBitIdenticalUnderQ16) {
     SimCluster cluster(topo);
     const RealField again =
         core::distributed_lowcomm_convolve(cluster, input, g, kernel, p);
-    const auto rs = reference.span();
-    const auto as = again.span();
-    ASSERT_EQ(rs.size(), as.size());
-    for (std::size_t i = 0; i < rs.size(); ++i) {
-      ASSERT_EQ(rs[i], as[i]) << "run " << run << " at " << i;
+    expect_bit_equal(reference, again, "fresh cluster run " +
+                                           std::to_string(run));
+  }
+  // Repeated calls on one reused cluster run from its kept exchange plan
+  // and must give the same bits as the call that built it.
+  for (int run = 1; run < 4; ++run) {
+    const RealField again =
+        core::distributed_lowcomm_convolve(first, input, g, kernel, p);
+    expect_bit_equal(reference, again, "reused cluster run " +
+                                           std::to_string(run));
+  }
+}
+
+// One cluster serving a sequence of different plans: the memo keeps only
+// the latest plan, so every change of codec, rate or route rebuilds it, and
+// returning to an earlier configuration rebuilds that one again.
+class LowCommPipelineReuse : public LowCommPipelineHierarchical {
+ protected:
+  struct Config {
+    WireCodec codec;
+    i64 rate;
+    core::ExchangeRoute route;
+  };
+
+  /// Run `p` on `cluster` and check the output against a fresh cluster's
+  /// and the CommStats delta against the static mirror.
+  static void expect_matches_fresh_cluster(
+      SimCluster& cluster, const RealField& input,
+      const std::shared_ptr<const green::KernelSpectrum>& kernel,
+      const core::LowCommParams& p, core::ExchangeRoute route,
+      const std::string& what) {
+    const Grid3& g = input.grid();
+    const LevelTraffic before = cluster.stats().level_traffic();
+    const RealField got =
+        core::distributed_lowcomm_convolve(cluster, input, g, kernel, p, route);
+    const LevelTraffic after = cluster.stats().level_traffic();
+    SimCluster fresh(cluster.topology());
+    const RealField want =
+        core::distributed_lowcomm_convolve(fresh, input, g, kernel, p, route);
+    expect_bit_equal(want, got, what);
+    const LevelTraffic mirror =
+        core::lowcomm_exchange_traffic(g, p, cluster.topology(), route);
+    EXPECT_EQ(after.intra_bytes - before.intra_bytes, mirror.intra_bytes)
+        << what;
+    EXPECT_EQ(after.inter_bytes - before.inter_bytes, mirror.inter_bytes)
+        << what;
+    EXPECT_EQ(after.intra_messages - before.intra_messages,
+              mirror.intra_messages)
+        << what;
+    EXPECT_EQ(after.inter_messages - before.inter_messages,
+              mirror.inter_messages)
+        << what;
+  }
+};
+
+TEST_F(LowCommPipelineReuse, AlternatingPlansMatchFreshClusters) {
+  const Grid3 g = Grid3::cube(32);
+  const auto kernel = std::make_shared<green::GaussianSpectrum>(g, 2.0);
+  const RealField input = random_field(g, 26);
+  SimCluster cluster(Topology::grouped(4, 2));
+
+  const Config configs[] = {
+      {WireCodec::kOff, 2, core::ExchangeRoute::kFlat},
+      {WireCodec::kQ16, 2, core::ExchangeRoute::kFlat},
+      {WireCodec::kQ16, 4, core::ExchangeRoute::kHierarchical},
+      {WireCodec::kBf16, 4, core::ExchangeRoute::kHierarchical},
+      {WireCodec::kBf16, 4, core::ExchangeRoute::kFlat},
+      {WireCodec::kOff, 2, core::ExchangeRoute::kFlat},
+      {WireCodec::kOff, 2, core::ExchangeRoute::kFlat},
+  };
+  for (const Config& c : configs) {
+    auto p = params(16, c.rate);
+    p.uniform_rate.reset();  // banded: far_rate shapes the outer band
+    p.wire = c.codec;
+    expect_matches_fresh_cluster(
+        cluster, input, kernel, p, c.route,
+        std::string(codec_name(c.codec)) + " r=" + std::to_string(c.rate) +
+            (c.route == core::ExchangeRoute::kFlat ? " flat" : " hier"));
+  }
+}
+
+/// Gaussian spectrum that throws once `fuse` evaluations (over all ranks)
+/// have been made; counts evaluations when the fuse never blows.
+class FusedSpectrum final : public green::KernelSpectrum {
+ public:
+  FusedSpectrum(std::shared_ptr<const green::KernelSpectrum> inner,
+                std::int64_t fuse)
+      : inner_(std::move(inner)), fuse_(fuse) {}
+
+  [[nodiscard]] green::cplx eval(const Index3& bin,
+                                 const Grid3& g) const override {
+    burn(1);
+    return inner_->eval(bin, g);
+  }
+  void eval_z_run(const Index3& start, const Grid3& g,
+                  std::span<green::cplx> out) const override {
+    burn(static_cast<std::int64_t>(out.size()));
+    inner_->eval_z_run(start, g, out);
+  }
+  [[nodiscard]] std::string name() const override { return "fused"; }
+  [[nodiscard]] std::int64_t evaluations() const { return calls_.load(); }
+
+ private:
+  void burn(std::int64_t evals) const {
+    if (calls_.fetch_add(evals) + evals > fuse_) {
+      throw std::runtime_error("synthetic kernel fault");
     }
   }
+
+  std::shared_ptr<const green::KernelSpectrum> inner_;
+  std::int64_t fuse_;
+  mutable std::atomic<std::int64_t> calls_{0};
+};
+
+TEST_F(LowCommPipelineReuse, CallAfterMidExchangeAbortIsCorrect) {
+  const Grid3 g = Grid3::cube(32);
+  const auto gauss = std::make_shared<green::GaussianSpectrum>(g, 2.0);
+  const RealField input = random_field(g, 27);
+  auto p = params(16, 2);
+  p.wire = WireCodec::kQ16;
+  SimCluster cluster(Topology::grouped(4, 2));
+
+  // Blow the fuse on the run's very last kernel evaluation: by then the
+  // other ranks have finished convolving and wait inside the exchange, so
+  // they unwind from it with RankAborted.
+  const auto counter = std::make_shared<FusedSpectrum>(gauss, INT64_MAX);
+  SimCluster counting(cluster.topology());
+  (void)core::distributed_lowcomm_convolve(counting, input, g, counter, p);
+  const auto faulty =
+      std::make_shared<FusedSpectrum>(gauss, counter->evaluations() - 1);
+  EXPECT_THROW((void)core::distributed_lowcomm_convolve(cluster, input, g,
+                                                        faulty, p),
+               std::runtime_error);
+
+  // The kept plan survives the abort; the next call on the same cluster
+  // must be exactly right.
+  expect_matches_fresh_cluster(cluster, input, counter, p,
+                               core::ExchangeRoute::kAuto, "after abort");
 }
 
 TEST_F(LowCommPipelineWire, LossyCodecsStayCloseToOff) {

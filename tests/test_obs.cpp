@@ -15,6 +15,7 @@
 
 #include "comm/sim_cluster.hpp"
 #include "common/rng.hpp"
+#include "common/runtime_flags.hpp"
 #include "common/timer.hpp"
 #include "core/pipeline.hpp"
 #include "green/gaussian.hpp"
@@ -689,9 +690,12 @@ TEST(ObsTelemetry, DistributedConvolveEmitsOnePlanOutcome) {
   SplitMix64 rng(15);
   for (auto& v : input.span()) v = rng.uniform(-1.0, 1.0);
 
+  auto params = uniform_params(16, 2);
+  params.wire = comm::WireCodec::kOff;
+
   comm::SimCluster cluster(ranks);
   (void)core::distributed_lowcomm_convolve(cluster, input, grid, kernel,
-                                           uniform_params(16, 2));
+                                           params);
 
   const auto records = obs::read_plan_outcomes(path);
   ASSERT_EQ(records.size(), 1u);
@@ -708,8 +712,42 @@ TEST(ObsTelemetry, DistributedConvolveEmitsOnePlanOutcome) {
   EXPECT_EQ(rec.meas_bytes,
             static_cast<std::int64_t>(cluster.stats().bytes_sent.load()));
   EXPECT_GT(rec.meas_compute_s, 0.0);
-  EXPECT_GT(rec.pred_point_passes, 0.0);
   EXPECT_GT(rec.pred_rate_pps, 0.0);
+
+  // The predictions are the ones a per-call octree walk gives: the flat
+  // exchange's pinned volume and the compute formula over a freshly built
+  // central octree (sub-domain (1,1,1) of the 2×2×2 decomposition).
+  EXPECT_EQ(rec.pred_bytes, 186624);
+  EXPECT_EQ(rec.pred_intra_bytes, 0);
+  EXPECT_EQ(rec.pred_inter_bytes, 186624);
+  EXPECT_EQ(rec.pred_intra_msgs, 0);
+  EXPECT_EQ(rec.pred_inter_msgs, 2);
+  const sampling::Octree central(grid, Box3::cube_at({16, 16, 16}, 16),
+                                 params.make_policy());
+  const bool half = real_path_enabled() && kernel->hermitian();
+  EXPECT_EQ(rec.pred_point_passes,
+            4.0 * obs::modeled_point_passes(
+                      32, 16, central.retained_z_planes().size(), half));
+
+  // A second call on the same cluster reuses its exchange plan; every
+  // prediction must come out the same.
+  (void)core::distributed_lowcomm_convolve(cluster, input, grid, kernel,
+                                           params);
+  const auto again = obs::read_plan_outcomes(path);
+  ASSERT_EQ(again.size(), 2u);
+  const obs::PlanOutcome& second = again[1];
+  EXPECT_EQ(second.pred_bytes, rec.pred_bytes);
+  EXPECT_EQ(second.pred_intra_bytes, rec.pred_intra_bytes);
+  EXPECT_EQ(second.pred_inter_bytes, rec.pred_inter_bytes);
+  EXPECT_EQ(second.pred_intra_msgs, rec.pred_intra_msgs);
+  EXPECT_EQ(second.pred_inter_msgs, rec.pred_inter_msgs);
+  EXPECT_EQ(second.pred_wire_s, rec.pred_wire_s);
+  EXPECT_EQ(second.pred_intra_s, rec.pred_intra_s);
+  EXPECT_EQ(second.pred_inter_s, rec.pred_inter_s);
+  EXPECT_EQ(second.pred_point_passes, rec.pred_point_passes);
+  EXPECT_EQ(second.pred_compute_s, rec.pred_compute_s);
+  EXPECT_EQ(second.pred_memory_b, rec.pred_memory_b);
+  EXPECT_EQ(second.pred_bytes, second.meas_bytes);
 }
 
 TEST(ObsService, DriftStatsPairPredictedWithMeasuredSeconds) {

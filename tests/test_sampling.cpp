@@ -2,8 +2,11 @@
 // compressed-field reconstruction.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <numbers>
 #include <set>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "sampling/compressed_field.hpp"
@@ -204,6 +207,60 @@ TEST(Octree, UniformRateOnePolicyGivesOneDenseCell) {
   // Everything is rate 1 → root is a single uniform cell.
   ASSERT_EQ(t.cells().size(), 1u);
   EXPECT_EQ(t.total_samples(), g.size());
+}
+
+// Property test for the accumulation scan: the cells of a box's Morton key
+// range that overlap it must be exactly the cells a full scan finds, in the
+// same order, for random boxes (aligned, straddling, thin, single points).
+TEST(Octree, CellRangeHoldsExactlyTheFullScanOverlaps) {
+  const Grid3 g32{32, 32, 32};
+  const Grid3 g64{64, 64, 64};
+  const std::vector<Octree> trees = {
+      Octree(g32, Box3::cube_at({8, 8, 8}, 8), SamplingPolicy::uniform(2)),
+      Octree(g32, Box3::cube_at({0, 0, 0}, 8),
+             SamplingPolicy::paper_default(8, 8)),
+      Octree(g64, Box3::cube_at({16, 32, 48}, 16),
+             SamplingPolicy::paper_default(16, 16)),
+      Octree(g64, Box3::cube_at({48, 0, 16}, 16), SamplingPolicy::uniform(4)),
+  };
+  SplitMix64 rng(72);
+  for (std::size_t ti = 0; ti < trees.size(); ++ti) {
+    const Octree& tree = trees[ti];
+    const auto n = static_cast<std::uint64_t>(tree.grid().nx);
+    const auto cells = tree.cells();
+    for (int trial = 0; trial < 300; ++trial) {
+      Box3 box;
+      if (trial % 3 == 0) {  // aligned block, as accumulation regions are
+        const i64 side = i64{1} << rng.below(std::bit_width(n));
+        const auto blocks = static_cast<std::uint64_t>(tree.grid().nx / side);
+        box = Box3::cube_at({static_cast<i64>(rng.below(blocks)) * side,
+                             static_cast<i64>(rng.below(blocks)) * side,
+                             static_cast<i64>(rng.below(blocks)) * side},
+                            side);
+      } else {
+        auto axis = [&](i64& lo, i64& hi) {
+          lo = static_cast<i64>(rng.below(n));
+          hi = lo + 1 + static_cast<i64>(rng.below(n - static_cast<std::uint64_t>(lo)));
+        };
+        axis(box.lo.x, box.hi.x);
+        axis(box.lo.y, box.hi.y);
+        axis(box.lo.z, box.hi.z);
+      }
+      std::vector<std::size_t> full;
+      for (std::size_t ci = 0; ci < cells.size(); ++ci) {
+        if (!cells[ci].box().intersect(box).empty()) full.push_back(ci);
+      }
+      const auto [first, last] = tree.cell_range(box);
+      ASSERT_LE(first, last);
+      ASSERT_LE(last, cells.size());
+      std::vector<std::size_t> restricted;
+      for (std::size_t ci = first; ci < last; ++ci) {
+        if (!cells[ci].box().intersect(box).empty()) restricted.push_back(ci);
+      }
+      ASSERT_EQ(restricted, full) << "tree " << ti << " box " << box.lo.str()
+                                  << "-" << box.hi.str();
+    }
+  }
 }
 
 TEST(CompressedField, DenseCellRegionReconstructsExactly) {

@@ -6,8 +6,11 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstddef>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "comm/wire_codec.hpp"
@@ -342,6 +345,73 @@ TEST(WireCodec, CompressedFieldEncodedBytesMatchEncoder) {
     }
     EXPECT_EQ(enc.finish(), field.encoded_sample_bytes(codec))
         << "codec " << codec_name(codec);
+  }
+}
+
+TEST(WireCodec, FuzzedBundlesThrowOrDecodeInBounds) {
+  // A real octree payload (banded policy: cells from one sample to whole
+  // dense blocks, so per-cell byte counts and the padding tail vary) encoded
+  // under every codec, then damaged. Framing comes from the octree alone, so
+  // a bundle of the wrong length must throw Error, and a bit-flipped one of
+  // the right length decodes to whatever the bits say without reading
+  // outside the bundle (the asan-ubsan job runs this).
+  const Grid3 g = Grid3::cube(32);
+  const auto tree = std::make_shared<const sampling::Octree>(
+      g, Box3::cube_at({8, 8, 8}, 8),
+      sampling::SamplingPolicy::paper_default(8, 8));
+  sampling::CompressedField field(tree);
+  SplitMix64 rng(16);
+  for (auto& v : field.samples()) v = rng.uniform(-1.0, 1.0);
+  const auto cells = field.octree().cells();
+
+  for (const WireCodec codec : kAllWireCodecs) {
+    std::vector<double> wire;
+    WireEncoder enc(codec, wire);
+    for (const auto& cell : cells) {
+      enc.add_cell(field.samples().subspan(cell.sample_offset,
+                                           cell.sample_count()));
+    }
+    enc.finish();
+    const auto decode = [&](std::span<const double> bundle) {
+      sampling::CompressedField out(tree);
+      WireDecoder dec(codec, bundle);
+      for (const auto& cell : cells) {
+        dec.read_cell(out.samples().subspan(cell.sample_offset,
+                                            cell.sample_count()));
+      }
+      dec.finish();
+    };
+    ASSERT_NO_THROW(decode(wire)) << codec_name(codec);
+
+    std::vector<std::size_t> lengths = {0, 1, wire.size() / 2,
+                                        wire.size() - 1};
+    for (int i = 0; i < 32; ++i) lengths.push_back(rng.below(wire.size()));
+    for (const std::size_t len : lengths) {
+      // A copy of exactly `len` doubles, so a sanitizer sees any overread.
+      const std::vector<double> truncated(wire.begin(),
+                                          wire.begin() + static_cast<
+                                              std::ptrdiff_t>(len));
+      EXPECT_THROW(decode(truncated), Error)
+          << codec_name(codec) << " truncated to " << len;
+    }
+    for (std::size_t extra = 1; extra <= 3; ++extra) {
+      std::vector<double> longer = wire;
+      for (std::size_t i = 0; i < extra; ++i) longer.push_back(rng.uniform());
+      EXPECT_THROW(decode(longer), Error)
+          << codec_name(codec) << " with " << extra << " extra doubles";
+    }
+    for (int trial = 0; trial < 64; ++trial) {
+      std::vector<double> flipped = wire;
+      for (int f = 0; f < 1 + trial % 4; ++f) {
+        std::uint64_t bits;
+        const std::size_t at = rng.below(flipped.size());
+        std::memcpy(&bits, &flipped[at], sizeof(bits));
+        bits ^= std::uint64_t{1} << rng.below(64);
+        std::memcpy(&flipped[at], &bits, sizeof(bits));
+      }
+      EXPECT_NO_THROW(decode(flipped)) << codec_name(codec) << " trial "
+                                       << trial;
+    }
   }
 }
 
