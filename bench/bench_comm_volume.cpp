@@ -73,8 +73,7 @@ int main(int argc, char** argv) {
       params.far_rate = r;
       params.uniform_rate = r;  // uniform exterior → Eqn 6 applies exactly
       params.dense_halo = 0;
-      params.wire = comm::WireCodec::kOff;  // pinned: rows must not depend
-                                            // on the ambient LC_WIRE
+      params.wire = comm::WireCodec::kOff;
       core::LowCommConvolution engine(g, kernel, params);
 
       const obs::CommVolumeReport rep =

@@ -2,7 +2,7 @@
 //
 // Runs the same N=128 / k=32 single-channel Gaussian convolution through
 // the full complex pipeline (RealPath::kOff, the bit-exact ground truth)
-// and the Hermitian r2c/c2r pipeline (RealPath::kForce), reading the
+// and the Hermitian r2c/c2r pipeline (RealPath::kAuto), reading the
 // per-stage wall clocks from the "convolver.stageN_seconds" histograms.
 // Serial pool, fixed seed: the work is deterministic, only the walls vary.
 //
@@ -72,7 +72,7 @@ int main() {
   for (auto& v : chunks[0].span()) v = rng.uniform(-1.0, 1.0);
 
   LocalConvolverConfig real_cfg;
-  real_cfg.real = LocalConvolverConfig::RealPath::kForce;
+  real_cfg.real = LocalConvolverConfig::RealPath::kAuto;
   real_cfg.batch = kBatch;
   real_cfg.pool = nullptr;  // serial: stage walls are pure compute
   LocalConvolverConfig cplx_cfg = real_cfg;
@@ -80,6 +80,10 @@ int main() {
 
   const LocalConvolver real_engine(g, kernel, real_cfg);
   const LocalConvolver cplx_engine(g, kernel, cplx_cfg);
+  if (!real_engine.uses_real_path()) {
+    std::fprintf(stderr, "FAIL: the kAuto engine did not take the real path\n");
+    return 1;
+  }
 
   // Warm plans, twiddles, and allocator pools once per engine.
   (void)run_once(cplx_engine, chunks, corner, tree);

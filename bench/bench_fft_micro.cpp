@@ -1,7 +1,6 @@
 // Micro-benchmarks of the FFT substrate: 1D radix-2 vs Bluestein, real vs
-// complex transforms, 3D sweeps, strided pencils, batch-major SIMD pencils
-// vs the scalar path, and the input/output pruning ablation (full transform
-// + subsample vs direct evaluation).
+// complex transforms, 3D sweeps, the input-pruned forward, strided pencils,
+// and batch-major SIMD pencils vs the scalar path.
 //
 // Two modes:
 //   (default)      google-benchmark over everything registered below.
@@ -128,43 +127,6 @@ void BM_InputPrunedForward(benchmark::State& state) {
 }
 BENCHMARK(BM_InputPrunedForward)->Arg(16)->Arg(64)->Arg(256);
 
-void BM_OutputPruned_Direct(benchmark::State& state) {
-  const std::size_t n = 1024;
-  const auto wanted_count = static_cast<std::size_t>(state.range(0));
-  Fft1D plan(n);
-  FftWorkspace ws;
-  const auto spec = random_signal(n);
-  std::vector<std::size_t> wanted(wanted_count);
-  for (std::size_t i = 0; i < wanted_count; ++i) {
-    wanted[i] = i * (n / wanted_count);
-  }
-  std::vector<cplx> out(wanted_count);
-  for (auto _ : state) {
-    output_pruned_inverse(plan, spec, wanted, out, ws, PruneStrategy::kDirect);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_OutputPruned_Direct)->Arg(4)->Arg(16)->Arg(64);
-
-void BM_OutputPruned_FullTransform(benchmark::State& state) {
-  const std::size_t n = 1024;
-  const auto wanted_count = static_cast<std::size_t>(state.range(0));
-  Fft1D plan(n);
-  FftWorkspace ws;
-  const auto spec = random_signal(n);
-  std::vector<std::size_t> wanted(wanted_count);
-  for (std::size_t i = 0; i < wanted_count; ++i) {
-    wanted[i] = i * (n / wanted_count);
-  }
-  std::vector<cplx> out(wanted_count);
-  for (auto _ : state) {
-    output_pruned_inverse(plan, spec, wanted, out, ws,
-                          PruneStrategy::kFullTransform);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_OutputPruned_FullTransform)->Arg(4)->Arg(16)->Arg(64);
-
 void BM_StridedPencils(benchmark::State& state) {
   // The z-pencil access pattern: stride = N², one plane of pencils.
   const std::size_t n = 64;
@@ -281,7 +243,7 @@ int run_json_probe() {
   }
 
   // Real half-spectrum pencils (r2c forward / c2r inverse): the batched
-  // rows are the LocalConvolver real-path substrate (LC_REAL) and gate
+  // rows are the LocalConvolver real-path substrate (DESIGN.md §16) and gate
   // alongside the complex pencils; the per-pencil scalar rows are the
   // reference.
   struct RealCase {

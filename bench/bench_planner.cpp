@@ -6,18 +6,12 @@
 // acceptance criterion: the planner's pick must land within 10% of the best
 // EXACT-priced total over an exhaustive sweep of the feasible block
 // candidates (the planner only exact-prices its closed-form shortlist, so
-// this checks the screening, not the sort). Also runs the assignment A/B:
-// per-rank bounding-hull volume under blocked-Morton vs round-robin — the
-// locality that makes node-granularity dedup real.
+// this checks the screening, not the sort).
 //
 // --json-probe: plan N ∈ {64, 128}, emit BENCH_planner.json rows with the
 // MODELED throughput of each pick (deterministic — the gate catches cost
 // model drift, not machine noise) and die on any infeasible selection or a
 // >10% gap.
-//
-// --assignment=roundrobin: run everything under the legacy round-robin
-// assignment (sets LC_ASSIGNMENT before the first decomposition; the A/B
-// companion invocation for CI or manual comparison).
 //
 // --fit-calibration HISTORY.jsonl [--calibration-out cal.json]
 // [--drift-gate [--drift-against FRESH.jsonl]]: close the telemetry loop
@@ -30,14 +24,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
 
 #include "bench_json.hpp"
 #include "common/table.hpp"
-#include "core/decomposition.hpp"
 #include "obs/telemetry.hpp"
 #include "planner/calibration.hpp"
 #include "planner/planner.hpp"
@@ -146,43 +138,6 @@ void print_ranked(const planner::PlanRequest& req,
          rc.cost.exact_traffic ? "exact" : "model"});
   }
   table.print();
-}
-
-void assignment_ab(i64 n, i64 k, int ranks) {
-  // Locality A/B without re-running the process: per-rank bounding-hull
-  // volume over owned sub-domains, in units of the owned volume. 1.0 =
-  // perfectly compact; round-robin scatters ranks across the whole grid.
-  const core::DomainDecomposition decomp(Grid3::cube(n), k);
-  TextTable table("Assignment A/B: per-rank hull volume / owned volume (N=" +
-                  std::to_string(n) + ", k=" + std::to_string(k) + ", P=" +
-                  std::to_string(ranks) + ")");
-  table.header({"assignment", "mean spread", "max spread"});
-  for (const auto how :
-       {core::Assignment::kBlockedMorton, core::Assignment::kRoundRobin}) {
-    double mean = 0.0, worst = 0.0;
-    for (int r = 0; r < ranks; ++r) {
-      const auto mine = decomp.assigned_to(r, ranks, how);
-      if (mine.empty()) continue;
-      Box3 hull = decomp.subdomain(mine.front());
-      for (const auto i : mine) {
-        const Box3& b = decomp.subdomain(i);
-        hull.lo = {std::min(hull.lo.x, b.lo.x), std::min(hull.lo.y, b.lo.y),
-                   std::min(hull.lo.z, b.lo.z)};
-        hull.hi = {std::max(hull.hi.x, b.hi.x), std::max(hull.hi.y, b.hi.y),
-                   std::max(hull.hi.z, b.hi.z)};
-      }
-      const double spread =
-          static_cast<double>(hull.extents().size()) /
-          (static_cast<double>(mine.size()) * static_cast<double>(k * k * k));
-      mean += spread / ranks;
-      worst = std::max(worst, spread);
-    }
-    table.row({how == core::Assignment::kBlockedMorton ? "blocked-morton"
-                                                       : "round-robin",
-               format_fixed(mean, 2), format_fixed(worst, 2)});
-  }
-  table.print();
-  std::puts("");
 }
 
 int run_json_probe() {
@@ -331,13 +286,6 @@ int run_calibration(const std::string& history, const std::string& out,
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--assignment=roundrobin") == 0) {
-      // Must precede the first decomposition: the process default latches
-      // on first use (core::default_assignment).
-      ::setenv("LC_ASSIGNMENT", "roundrobin", 1);
-    }
-  }
   std::string fit_path, cal_out, drift_against;
   bool drift_gate = false;
   for (int i = 1; i < argc; ++i) {
@@ -377,14 +325,8 @@ int main(int argc, char** argv) {
               gate.pick_total, gate.best_total,
               100.0 * (gate.pick_total / gate.best_total - 1.0));
 
-  // 27 ranks: coprime with the 8-wide sub-domain grid, so the round-robin
-  // stride visits every x/y/z coordinate and each rank's hull blows up to
-  // the whole domain; blocked-Morton runs stay compact regardless.
-  assignment_ab(128, 16, 27);
-
   std::puts(
       "Shape check: the pick is a feasible block plan within 10% of the\n"
-      "exhaustive exact sweep; blocked-Morton ranks stay spatially compact\n"
-      "(spread ~1) while round-robin scatters across the grid.");
+      "exhaustive exact sweep.");
   return gate.ok ? 0 : 1;
 }

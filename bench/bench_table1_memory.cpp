@@ -45,7 +45,7 @@ int main() {
       "\nPaper values (GB): traditional {8, 8, 64, 64, 512, 512, 4096, 4096};"
       "\n                   ours        {1, 4, 4, 16, 16, 64, 32, 64}."
       "\nSpectrum columns: the slab as stored in spectral space — full"
-      "\ncomplex (2x the paper's real-slab figure) vs the LC_REAL Hermitian"
+      "\ncomplex (2x the paper's real-slab figure) vs the Hermitian"
       "\nhalf-spectrum, which lands back at the paper's footprint (+ one"
       "\nNyquist column).");
   return 0;

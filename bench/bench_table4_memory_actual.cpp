@@ -42,8 +42,8 @@ int main() {
   for (const auto& row : rows) {
     const auto policy = sampling::SamplingPolicy::uniform(row.r);
     // Paper comparison columns price the full complex path (the paper's
-    // cuFFT c2c pipeline); the r2c column is the LC_REAL half-spectrum
-    // footprint of the same plan.
+    // cuFFT c2c pipeline); the r2c column is the half-spectrum footprint
+    // of the same plan.
     const auto plan = device::plan_local_pipeline(
         row.n, row.k, policy, core::recommended_batch(row.n),
         /*real_path=*/false);
@@ -79,7 +79,7 @@ int main() {
     core::LocalConvolverConfig cfg;
     cfg.batch = 512;
     cfg.device = &ctx;
-    cfg.real = real_path ? core::LocalConvolverConfig::RealPath::kForce
+    cfg.real = real_path ? core::LocalConvolverConfig::RealPath::kAuto
                          : core::LocalConvolverConfig::RealPath::kOff;
     (void)core::LocalConvolver(g, kernel, cfg)
         .convolve_subdomain(chunk, {0, 0, 0}, tree);

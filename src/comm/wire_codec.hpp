@@ -2,8 +2,8 @@
 //
 // The exchange ships far-field samples the octree already downsampled
 // aggressively, so the per-element representation is the last untapped
-// 2–4× of wire volume. Five formats, selected per run via LC_WIRE (or per
-// plan by the planner, core::LowCommParams::wire):
+// 2–4× of wire volume. Five formats, selected per run by
+// core::LowCommParams::wire (the planner searches it as a plan dimension):
 //
 //   off   fp64 passthrough — bit-exact, the pre-codec wire format
 //   fp32  4 B/sample, round-to-nearest narrowing
@@ -36,7 +36,7 @@ namespace lc::comm {
 /// Payload representation of the sample exchange.
 enum class WireCodec : std::uint8_t { kOff, kFp32, kFp16, kBf16, kQ16 };
 
-/// All codecs, in LC_WIRE spelling order (sweep helper for benches/tests).
+/// All codecs, in spelling order (sweep helper for benches/tests).
 inline constexpr WireCodec kAllWireCodecs[] = {
     WireCodec::kOff, WireCodec::kFp32, WireCodec::kFp16, WireCodec::kBf16,
     WireCodec::kQ16};
@@ -46,11 +46,6 @@ inline constexpr WireCodec kAllWireCodecs[] = {
 
 /// Parse a codec spelling; throws InvalidArgument naming the bad value.
 [[nodiscard]] WireCodec parse_wire_codec(std::string_view value);
-
-/// LC_WIRE=off|fp32|fp16|bf16|q16 (unset → off; anything else throws).
-/// Read per call — LowCommParams defaults its codec from this at
-/// construction, so tests can toggle the environment between engines.
-[[nodiscard]] WireCodec wire_codec_from_env();
 
 /// Encoded bytes per sample (8, 4, 2, 2, 2).
 [[nodiscard]] constexpr std::size_t codec_sample_bytes(

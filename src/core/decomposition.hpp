@@ -8,23 +8,6 @@
 
 namespace lc::core {
 
-/// How sub-domain indices map onto ranks.
-enum class Assignment {
-  /// Contiguous runs of the Morton (octant-interleaved) order per rank:
-  /// each rank owns a compact spatial block, so neighbouring sub-domains —
-  /// whose octree cells overlap the most — land on the same rank (and, with
-  /// block-grouped topologies, the same node). This is what makes the
-  /// planner's node-locality assumptions real.
-  kBlockedMorton,
-  /// Legacy strided round-robin (rank, rank+P, ...). Kept as the A/B
-  /// baseline for benches; spatially maximally scattered.
-  kRoundRobin,
-};
-
-/// Process-wide default assignment: kBlockedMorton unless the environment
-/// sets LC_ASSIGNMENT=roundrobin (read once, first call wins).
-[[nodiscard]] Assignment default_assignment();
-
 /// Regular volumetric decomposition of a cubic grid into cubic sub-domains.
 class DomainDecomposition {
  public:
@@ -42,16 +25,16 @@ class DomainDecomposition {
     return boxes_.at(i);
   }
 
-  /// Sub-domain indices (ascending) owned by `rank` out of `workers` under
-  /// the process default assignment. Every caller of the exchange — packing,
-  /// the static traffic mirror, and the executed collective — must route
-  /// through the same assignment or the framing would disagree.
+  /// Sub-domain indices (ascending) owned by `rank` out of `workers`:
+  /// contiguous runs of the Morton (octant-interleaved) order, so each rank
+  /// owns a compact spatial block and neighbouring sub-domains — whose
+  /// octree cells overlap the most — land on the same rank (and, with
+  /// block-grouped topologies, the same node). This is what makes the
+  /// planner's node-locality assumptions real. Every caller of the exchange
+  /// — packing, the static traffic mirror, and the executed collective —
+  /// routes through this one assignment, so their framing agrees.
   [[nodiscard]] std::vector<std::size_t> assigned_to(int rank,
                                                      int workers) const;
-
-  /// Same, with the assignment scheme explicit (bench A/B hooks).
-  [[nodiscard]] std::vector<std::size_t> assigned_to(int rank, int workers,
-                                                     Assignment how) const;
 
  private:
   Grid3 grid_;

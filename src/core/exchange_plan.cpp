@@ -43,9 +43,6 @@ std::string ExchangePlan::key(const Grid3& grid, const LowCommParams& params,
   key += std::string("/wire=") + comm::codec_name(params.wire);
   key += resolved == ExchangeRoute::kHierarchical ? "/route=hier"
                                                   : "/route=flat";
-  key += default_assignment() == Assignment::kRoundRobin
-             ? "/assign=roundrobin"
-             : "/assign=morton";
   return key;
 }
 

@@ -1,6 +1,6 @@
 // ExchangePlan: the metadata of the method's single sample exchange,
-// computed once per (grid, sampling policy, wire codec, topology, route,
-// assignment) and shared by everything that needs it.
+// computed once per (grid, sampling policy, wire codec, topology, route)
+// and shared by everything that needs it.
 //
 // Octrees depend only on (grid, policy), so every quantity that frames the
 // exchange — which rank owns which sub-domain, which octree cells each
@@ -51,7 +51,7 @@ class ExchangePlan {
       std::function<std::shared_ptr<const sampling::Octree>(std::size_t)>;
 
   /// Build the plan for `params` (sampling fields and wire codec) on `topo`
-  /// under `route` (kAuto resolved here) and the process assignment.
+  /// under `route` (kAuto resolved here).
   ExchangePlan(const Grid3& grid, const LowCommParams& params,
                comm::Topology topo, ExchangeRoute route,
                const OctreeSource& octree_for = {});

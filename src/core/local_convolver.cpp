@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/runtime_flags.hpp"
 #include "common/timer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -29,13 +28,8 @@ LocalConvolver::LocalConvolver(const Grid3& grid,
   } else {
     fft_n_ = std::make_shared<fft::Fft1D>(static_cast<std::size_t>(grid.nx));
   }
-  using RealPath = LocalConvolverConfig::RealPath;
-  if (config_.real == RealPath::kForce) {
-    LC_CHECK_ARG(op_->hermitian(),
-                 "RealPath::kForce requires a Hermitian operator");
-  }
-  real_path_ = config_.real != RealPath::kOff && op_->hermitian() &&
-               (config_.real == RealPath::kForce || real_path_enabled());
+  real_path_ = config_.real == LocalConvolverConfig::RealPath::kAuto &&
+               op_->hermitian();
   if (real_path_) {
     if (config_.real_plan != nullptr) {
       LC_CHECK_ARG(

@@ -38,12 +38,11 @@ namespace lc::core {
 /// Tuning and instrumentation knobs for the local pipeline.
 struct LocalConvolverConfig {
   /// Hermitian half-spectrum dispatch (DESIGN.md §16). kAuto — the default
-  /// — takes the r2c/c2r path whenever the operator is Hermitian-symmetric
-  /// and LC_REAL != off, transforming only the nx/2+1 x-bins; kOff forces
+  /// — takes the r2c/c2r path exactly when the operator is
+  /// Hermitian-symmetric, transforming only the nx/2+1 x-bins; kOff forces
   /// the full complex path (the bit-exact ground truth the real path is
-  /// validated against); kForce requires a Hermitian operator and throws
-  /// otherwise.
-  enum class RealPath { kAuto, kOff, kForce };
+  /// validated against).
+  enum class RealPath { kAuto, kOff };
 
   /// z-pencils transformed per batch (the paper's B; §5.4).
   std::size_t batch = 1024;
@@ -61,7 +60,7 @@ struct LocalConvolverConfig {
   /// Optional scratch recycler: slab and staging buffers are leased from it
   /// instead of allocated per call. Null → plain per-call allocation.
   BufferArena* arena = nullptr;
-  /// See RealPath; kAuto consults lc::real_path_enabled() (LC_REAL).
+  /// See RealPath.
   RealPath real = RealPath::kAuto;
 };
 
@@ -84,8 +83,8 @@ class LocalConvolver {
   [[nodiscard]] const SpectralOperator& op() const noexcept { return *op_; }
 
   /// True when this engine runs the Hermitian half-spectrum (r2c/c2r)
-  /// pipeline — decided once at construction from config().real, LC_REAL,
-  /// and the operator's hermitian() predicate.
+  /// pipeline — decided once at construction from config().real and the
+  /// operator's hermitian() predicate.
   [[nodiscard]] bool uses_real_path() const noexcept { return real_path_; }
 
   /// Convolve C tight k³ channel chunks whose origin sits at `corner` of

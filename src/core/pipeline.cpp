@@ -7,7 +7,6 @@
 #include "comm/hierarchical.hpp"
 #include "comm/wire_codec.hpp"
 #include "common/check.hpp"
-#include "common/runtime_flags.hpp"
 #include "common/timer.hpp"
 #include "device/memory_model.hpp"
 #include "obs/metrics.hpp"
@@ -262,11 +261,10 @@ RealField distributed_lowcomm_convolve(
     const double owned =
         std::ceil(static_cast<double>(decomp.count()) /
                   static_cast<double>(std::max(workers, 1)));
-    const bool half = real_path_enabled() && kernel->hermitian();
     rec.pred_point_passes =
         owned * obs::modeled_point_passes(grid.nx, params.subdomain,
                                           central.retained_z_planes().size(),
-                                          half);
+                                          kernel->hermitian());
     rec.pred_rate_pps = 2e8;  // PlanRequest::compute_rate_pps default
     rec.pred_compute_s = rec.pred_point_passes / rec.pred_rate_pps;
     rec.pred_memory_b = static_cast<std::int64_t>(

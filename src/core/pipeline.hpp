@@ -33,12 +33,12 @@ struct LowCommParams {
   /// Override the banded paper policy with a single uniform exterior rate
   /// (Table 3 reports one r per row).
   std::optional<i64> uniform_rate;
-  /// Wire codec for the exchange payloads (DESIGN.md §17). Defaults from
-  /// LC_WIRE at construction (off = bit-exact fp64 passthrough); the
-  /// planner enumerates it as a plan dimension. Only the wire
-  /// representation changes — octree sampling, local compute, and the
-  /// accumulation schedule are identical under every codec.
-  comm::WireCodec wire = comm::wire_codec_from_env();
+  /// Wire codec for the exchange payloads (DESIGN.md §17). Defaults to off
+  /// (bit-exact fp64 passthrough); the planner enumerates it as a plan
+  /// dimension. Only the wire representation changes — octree sampling,
+  /// local compute, and the accumulation schedule are identical under
+  /// every codec.
+  comm::WireCodec wire = comm::WireCodec::kOff;
 
   /// The sampling policy these parameters induce for sub-domain size k.
   [[nodiscard]] sampling::SamplingPolicy make_policy() const;

@@ -13,7 +13,6 @@
 
 #include <cstddef>
 
-#include "common/runtime_flags.hpp"
 #include "device/device.hpp"
 #include "sampling/octree.hpp"
 
@@ -60,11 +59,11 @@ struct PipelinePlan {
 /// n³ grid under `policy`, with z-pencil batch size `batch`. `real_path`
 /// prices the Hermitian half-spectrum pipeline (slab/staging hold only the
 /// nx/2+1 x-bins, plus the c2r store lane's N² real plane) and defaults to
-/// the LC_REAL dispatch so plans match what a Hermitian-operator engine
-/// actually allocates; pass false to price the full complex path.
+/// true so plans match what a Hermitian-operator engine actually allocates;
+/// pass false to price the full complex path.
 [[nodiscard]] PipelinePlan plan_local_pipeline(
     i64 n, i64 k, const sampling::SamplingPolicy& policy, std::size_t batch,
-    bool real_path = real_path_enabled());
+    bool real_path = true);
 
 /// Octree-free analytic variant of plan_local_pipeline for ANY grid side
 /// (the real octree requires a power-of-two n): payload from the uniform
@@ -74,8 +73,7 @@ struct PipelinePlan {
 /// plan's. Used where n may not be a power of two (the divisor fallback in
 /// core::select_hyperparams).
 [[nodiscard]] PipelinePlan estimate_local_pipeline(
-    i64 n, i64 k, i64 far_rate, std::size_t batch,
-    bool real_path = real_path_enabled());
+    i64 n, i64 k, i64 far_rate, std::size_t batch, bool real_path = true);
 
 /// Planning downsampling rate: the paper coarsens r with the problem ratio
 /// (r = 4 at N/k = 4 up to r = 128 at N = 2048 in Table 4). Clamped to

@@ -1,8 +1,6 @@
 #include "fft/pruned.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <numbers>
 
 #include "common/check.hpp"
 
@@ -18,89 +16,6 @@ void input_pruned_forward(const Fft1D& plan, std::span<const cplx> nonzero,
   std::copy(nonzero.begin(), nonzero.end(),
             out.begin() + static_cast<std::ptrdiff_t>(offset));
   plan.forward(out, ws);
-}
-
-bool direct_prune_profitable(std::size_t n, std::size_t wanted) noexcept {
-  if (n < 2) return false;
-  // Measured crossover (bench_fft_micro, recurrence-based direct path at
-  // ~15 ns/term): a direct output costs ~n phase-recurrence mul-adds, the
-  // full inverse ~n log2 n butterflies. The batched radix path runs its
-  // butterflies so cheaply that direct no longer wins for any pow2 output
-  // count; Bluestein lengths pay ~4x more per transform, so tiny output
-  // sets (1-2 bins at n ~ 1000) still favour direct evaluation.
-  const double log2n = std::log2(static_cast<double>(n));
-  const double crossover = is_pow2(n) ? 0.05 * log2n : 0.23 * log2n;
-  return static_cast<double>(wanted) < crossover;
-}
-
-void output_pruned_inverse(const Fft1D& plan, std::span<const cplx> spectrum,
-                           std::span<const std::size_t> wanted,
-                           std::span<cplx> out, FftWorkspace& ws,
-                           PruneStrategy strategy) {
-  const std::size_t n = plan.size();
-  LC_CHECK_ARG(spectrum.size() == n, "spectrum length != plan length");
-  LC_CHECK_ARG(out.size() >= wanted.size(), "output too small");
-
-  bool direct = false;
-  switch (strategy) {
-    case PruneStrategy::kAuto:
-      direct = direct_prune_profitable(n, wanted.size());
-      break;
-    case PruneStrategy::kDirect:
-      direct = true;
-      break;
-    case PruneStrategy::kFullTransform:
-      direct = false;
-      break;
-  }
-
-  if (direct) {
-    const double w0 = 2.0 * std::numbers::pi / static_cast<double>(n);
-    const double inv_n = 1.0 / static_cast<double>(n);
-    for (std::size_t i = 0; i < wanted.size(); ++i) {
-      const std::size_t j = wanted[i];
-      LC_CHECK_ARG(j < n, "wanted index out of range");
-      // Phase recurrence instead of a polar() per term: four independent
-      // chains w_t advancing by step^4 keep the complex-multiply latency off
-      // the critical path, and a periodic resync from polar() bounds the
-      // rounding drift of the recurrence.
-      constexpr std::size_t kLanes = 4;
-      constexpr std::size_t kResync = 256 * kLanes;
-      const cplx step = std::polar(1.0, w0 * static_cast<double>(j));
-      const cplx step4 = (step * step) * (step * step);
-      cplx w[kLanes];
-      cplx acc[kLanes] = {};
-      const auto resync = [&](std::size_t k) {
-        for (std::size_t t = 0; t < kLanes; ++t) {
-          w[t] = std::polar(1.0, w0 * static_cast<double>((j * (k + t)) % n));
-        }
-      };
-      resync(0);
-      std::size_t k = 0;
-      for (; k + kLanes <= n; k += kLanes) {
-        if (k != 0 && k % kResync == 0) resync(k);
-        for (std::size_t t = 0; t < kLanes; ++t) {
-          acc[t] += spectrum[k + t] * w[t];
-          w[t] *= step4;
-        }
-      }
-      cplx total = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-      for (; k < n; ++k) {
-        total += spectrum[k] *
-                 std::polar(1.0, w0 * static_cast<double>((j * k) % n));
-      }
-      out[i] = total * inv_n;
-    }
-    return;
-  }
-
-  auto buf = ws.buffer_b(n);
-  std::copy(spectrum.begin(), spectrum.end(), buf.begin());
-  plan.inverse(buf, ws);
-  for (std::size_t i = 0; i < wanted.size(); ++i) {
-    LC_CHECK_ARG(wanted[i] < n, "wanted index out of range");
-    out[i] = buf[wanted[i]];
-  }
 }
 
 }  // namespace lc::fft

@@ -1,15 +1,9 @@
-// Pruned 1D transforms.
-//
-// Input pruning: a length-n transform whose input has only k contiguous
-// nonzero samples never materialises a padded array anywhere but in a
-// per-thread scratch pencil — this is the paper's "zero structure is
+// Input-pruned 1D transform: a length-n transform whose input has only k
+// contiguous nonzero samples never materialises a padded array anywhere but
+// in a per-thread scratch pencil — this is the paper's "zero structure is
 // implicit in the 1D calls; padding is applied to the 1D data, and not to
-// the full 3D array".
-//
-// Output pruning: the compressed inverse stage only needs a subset of
-// output samples (the octree's retained planes). Two strategies are
-// provided — full transform + subsample, or direct evaluation of just the
-// wanted bins — with an automatic cost-based choice.
+// the full 3D array". The scalar reference for the batched pipeline's
+// forward_batch_pruned.
 #pragma once
 
 #include <span>
@@ -25,22 +19,5 @@ namespace lc::fft {
 void input_pruned_forward(const Fft1D& plan, std::span<const cplx> nonzero,
                           std::size_t offset, std::span<cplx> out,
                           FftWorkspace& ws);
-
-/// How to evaluate an output-pruned inverse transform.
-enum class PruneStrategy {
-  kAuto,           ///< pick per call from the wanted-count / n ratio
-  kFullTransform,  ///< inverse FFT then subsample (O(n log n))
-  kDirect,         ///< evaluate each wanted bin directly (O(n · wanted))
-};
-
-/// Inverse transform evaluated only at `wanted` output indices (each < n),
-/// with 1/n normalisation. Results are written to out[i] for wanted[i].
-void output_pruned_inverse(const Fft1D& plan, std::span<const cplx> spectrum,
-                           std::span<const std::size_t> wanted,
-                           std::span<cplx> out, FftWorkspace& ws,
-                           PruneStrategy strategy = PruneStrategy::kAuto);
-
-/// The crossover: direct evaluation wins when wanted < ~2·log2(n).
-[[nodiscard]] bool direct_prune_profitable(std::size_t n, std::size_t wanted) noexcept;
 
 }  // namespace lc::fft

@@ -2,19 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <limits>
-#include <string_view>
 
 #include "common/check.hpp"
-#include "common/runtime_flags.hpp"
 #include "core/hyperparams.hpp"
 #include "device/memory_model.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "planner/calibration.hpp"
-#include "planner/probe.hpp"
 #include "sampling/octree.hpp"
 
 namespace lc::planner {
@@ -27,7 +22,6 @@ struct PlannerMetrics {
       obs::Registry::global().counter("planner.candidates");
   obs::Counter& exact_priced =
       obs::Registry::global().counter("planner.exact_priced");
-  obs::Counter& probes = obs::Registry::global().counter("planner.probes");
 
   static PlannerMetrics& get() {
     static PlannerMetrics m;
@@ -121,9 +115,10 @@ CandidateCost price_block(const PlanRequest& req, const Candidate& c,
   // Compute model in transform point-passes — obs::modeled_point_passes is
   // the single source shared with the telemetry emitter, so a rate fitted
   // from plan-vs-actual history (planner/calibration.hpp) is directly
-  // substitutable for req.compute_rate_pps.
+  // substitutable for req.compute_rate_pps. Priced on the half spectrum,
+  // which every Hermitian kernel runs.
   const double per_subdomain =
-      obs::modeled_point_passes(n, k, shape.planes, real_path_enabled());
+      obs::modeled_point_passes(n, k, shape.planes, /*real_path=*/true);
   cost.compute_seconds = owned * per_subdomain / req.compute_rate_pps;
 
   // Wire model: each rank ships its owned sub-domains' exact octree payload
@@ -233,37 +228,8 @@ bool better(const RankedCandidate& a, const RankedCandidate& b) {
 
 }  // namespace
 
-Mode mode_from_env() {
-  switch (env_choice("LC_PLANNER", 0, {"analytic", "off", "probe"})) {
-    case 1:
-      return Mode::kOff;
-    case 2:
-      return Mode::kProbe;
-    default:
-      return Mode::kAnalytic;
-  }
-}
-
-std::vector<comm::WireCodec> default_codec_grid() {
-  if (std::getenv("LC_WIRE") != nullptr) {
-    // Explicitly pinned wire format: plan only under it (and let a bad
-    // spelling throw the same error every other LC_WIRE reader raises).
-    return {comm::wire_codec_from_env()};
-  }
-  return {comm::WireCodec::kOff, comm::WireCodec::kFp32,
-          comm::WireCodec::kBf16, comm::WireCodec::kQ16};
-}
-
 const char* mode_name(Mode mode) {
-  switch (mode) {
-    case Mode::kOff:
-      return "off";
-    case Mode::kProbe:
-      return "probe";
-    case Mode::kAnalytic:
-      break;
-  }
-  return "analytic";
+  return mode == Mode::kOff ? "off" : "analytic";
 }
 
 std::string Candidate::name() const {
@@ -326,7 +292,7 @@ std::vector<RankedCandidate> Planner::enumerate(
       c.schedule = sched;
       c.route = route;
       c.params = p;
-      out.push_back(RankedCandidate{c, price_block(req, c, shape), 0.0});
+      out.push_back(RankedCandidate{c, price_block(req, c, shape)});
     }
   };
 
@@ -373,7 +339,7 @@ std::vector<RankedCandidate> Planner::enumerate(
       for (const DecompKind kind : {DecompKind::kSlab, DecompKind::kPencil}) {
         Candidate c;
         c.kind = kind;
-        out.push_back(RankedCandidate{c, price_baseline(req, kind), 0.0});
+        out.push_back(RankedCandidate{c, price_baseline(req, kind)});
       }
     }
   }
@@ -407,12 +373,10 @@ std::vector<RankedCandidate> Planner::enumerate(
 ExecutionPlan Planner::plan(const PlanRequest& req) const {
   LC_TRACE("planner.plan");
   std::vector<RankedCandidate> ranked = enumerate(req);
-  const auto executable = [](const RankedCandidate& rc) {
-    return rc.candidate.kind == DecompKind::kBlock && rc.cost.feasible;
-  };
   std::size_t best = ranked.size();
   for (std::size_t i = 0; i < ranked.size(); ++i) {
-    if (executable(ranked[i])) {
+    if (ranked[i].candidate.kind == DecompKind::kBlock &&
+        ranked[i].cost.feasible) {
       best = i;
       break;
     }
@@ -424,33 +388,9 @@ ExecutionPlan Planner::plan(const PlanRequest& req) const {
           std::to_string(req.max_rel_error) +
           " — relax the accuracy target or use a larger device");
 
-  if (config_.mode == Mode::kProbe) {
-    // Short real micro-runs of the top candidates; the pick becomes
-    // measured compute + modeled wire (wire cannot be executed without a
-    // cluster, and the static mirror is already byte-exact).
-    const ProbeFn probe =
-        config_.probe ? config_.probe : ProbeFn(probe_block_seconds);
-    double best_total = std::numeric_limits<double>::infinity();
-    std::size_t probed = 0;
-    for (std::size_t i = 0;
-         i < ranked.size() && probed < config_.probe_top; ++i) {
-      if (!executable(ranked[i])) continue;
-      ranked[i].probed_seconds = probe(req, ranked[i].candidate);
-      PlannerMetrics::get().probes.add(1);
-      ++probed;
-      const double total =
-          ranked[i].probed_seconds + ranked[i].cost.wire.total_seconds();
-      if (total < best_total) {
-        best_total = total;
-        best = i;
-      }
-    }
-  }
-
   ExecutionPlan plan;
   plan.choice = ranked[best].candidate;
   plan.cost = ranked[best].cost;
-  plan.probed_seconds = ranked[best].probed_seconds;
   plan.mode = config_.mode;
   plan.ranked = std::move(ranked);
   PlannerMetrics::get().plans.add(1);
@@ -461,11 +401,6 @@ std::string cache_key(const PlanRequest& req, Mode mode) {
   // "execplan/" keeps this namespace disjoint from the service's FFT-plan
   // entries ("plan/n=<n>") in the same ResourceCache.
   std::string key = "execplan/n=" + std::to_string(req.n);
-  // Real-path dispatch changes both the compute and memory pricing, so
-  // cached plans must not leak across LC_REAL toggles.
-  key += real_path_enabled() ? "/real=on" : "/real=off";
-  // Same for the wire codec: the request's base codec seeds the candidate
-  // grid (LC_WIRE pins it), so plans must not leak across codec changes.
   key += std::string("/wire=") + comm::codec_name(req.base.wire);
   key += "/p=" + std::to_string(req.ranks);
   key += "/nodes=" + std::to_string(req.topology.nodes());

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "common/runtime_flags.hpp"
 #include "core/accumulator.hpp"
 #include "fft/fft1d.hpp"
 #include "fft/real_fft.hpp"
@@ -74,7 +73,7 @@ std::string engine_key_of(const ConvolutionRequest& request) {
          (p.uniform_rate ? std::to_string(*p.uniform_rate) : std::string("-"));
   // Single-process convolves never hit the wire, but the engine's reported
   // exchanged_bytes (and cached LowCommResults derived from this key) are
-  // priced under the codec — don't share them across LC_WIRE changes.
+  // priced under the codec — don't share them across codecs.
   key += std::string("/wire=") + comm::codec_name(p.wire);
   key += "/kernel=" + request.kernel->cache_key();
   return key;
@@ -282,10 +281,10 @@ ConvolutionService::engine_for(const ConvolutionRequest& request,
                                bool& cache_hit) {
   const Grid3& grid = request.input.grid();
 
-  // Hermitian kernels under LC_REAL=auto run the half-spectrum pipeline, so
-  // the cached materialisation stores only the (nx/2+1)·ny·nz half grid —
-  // half the ResourceCache bytes of a full DenseSpectrum.
-  const bool real_dispatch = real_path_enabled() && request.kernel->hermitian();
+  // Hermitian kernels run the half-spectrum pipeline, so the cached
+  // materialisation stores only the (nx/2+1)·ny·nz half grid — half the
+  // ResourceCache bytes of a full DenseSpectrum.
+  const bool real_dispatch = request.kernel->hermitian();
   std::shared_ptr<const green::KernelSpectrum> kernel = request.kernel;
   if (config_.materialize_spectra) {
     const std::size_t full_bytes =
@@ -645,7 +644,8 @@ void ConvolutionService::run_wave(Wave& wave) {
     result.output = std::move(*out);
     for (const auto& c : job->contributions) {
       result.compressed_samples += c.samples().size();
-      result.exchanged_bytes += c.sample_bytes();
+      result.exchanged_bytes +=
+          c.encoded_sample_bytes(job->request.params.wire);
     }
     result.compression_ratio =
         static_cast<double>(job->contributions.size()) *

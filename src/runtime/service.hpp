@@ -75,14 +75,14 @@ struct ServiceConfig {
   bool materialize_spectra = false;
   /// Simulated device the service accounts all resident bytes against.
   device::DeviceSpec device = device::DeviceSpec::unlimited();
-  /// Execution-planner mode (defaults to the LC_PLANNER environment
-  /// variable). kOff dispatches every request with exactly its own params —
-  /// the pre-planner behaviour, bit for bit. Otherwise request params are
-  /// resolved through the planner first: explicit params are validated /
-  /// repaired (an illegal k that does not divide N, an over-budget batch),
-  /// and `params.subdomain == 0` asks for a full auto-tuned plan. Winning
-  /// plans are cached in the resource cache (runtime/plan_provider.hpp).
-  planner::Mode planner_mode = planner::mode_from_env();
+  /// Execution-planner mode. kOff dispatches every request with exactly its
+  /// own params — the pre-planner behaviour, bit for bit. kAnalytic (the
+  /// default) resolves request params through the planner first: explicit
+  /// params are validated / repaired (an illegal k that does not divide N,
+  /// an over-budget batch), and `params.subdomain == 0` asks for a full
+  /// auto-tuned plan over the planner's default codec grid. Winning plans
+  /// are cached in the resource cache (runtime/plan_provider.hpp).
+  planner::Mode planner_mode = planner::Mode::kAnalytic;
   /// Pool the dispatch waves fan out on (nullptr → serial waves).
   ThreadPool* pool = &ThreadPool::global();
   /// Start with dispatch paused (deterministic admission tests).

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <future>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "green/gaussian.hpp"
@@ -58,6 +59,10 @@ TEST(StressService, ConcurrentMixedRequestsUnderTinyBudgets) {
   std::atomic<int> accepted{0};
   std::atomic<int> rejected{0};
   std::atomic<int> completed{0};
+  // Each client keeps its completed (salt, response) pairs for the
+  // bit-for-bit check after the load phase.
+  std::vector<std::vector<std::pair<int, ConvolutionResponse>>> answers(
+      kThreads);
 
   std::vector<std::thread> clients;
   clients.reserve(kThreads);
@@ -68,10 +73,12 @@ TEST(StressService, ConcurrentMixedRequestsUnderTinyBudgets) {
         try {
           auto future = service.submit(mixed_request(salt));
           accepted.fetch_add(1);
-          const ConvolutionResponse response = future.get();
+          ConvolutionResponse response = future.get();
           completed.fetch_add(1);
           EXPECT_FALSE(response.result.output.empty());
           EXPECT_GT(response.result.compressed_samples, 0u);
+          answers[static_cast<std::size_t>(t)].emplace_back(
+              salt, std::move(response));
         } catch (const QueueFull&) {
           rejected.fetch_add(1);
           std::this_thread::yield();
@@ -96,6 +103,28 @@ TEST(StressService, ConcurrentMixedRequestsUnderTinyBudgets) {
   EXPECT_EQ(stats.arena.outstanding_bytes, 0u);
   // The budget must have held: resident cache bytes never exceed it.
   EXPECT_LE(stats.cache.bytes, cfg.cache_budget_bytes);
+  // ...and it was tight enough to evict under the load.
+  EXPECT_GT(stats.cache.evictions, 0u);
+
+  // Every completed response must equal, bit for bit, the same request
+  // answered by a service whose default budget never evicts: an eviction
+  // that handed a request the wrong plan, octree, spectrum, or engine shows
+  // up here. The reference service's result cache computes each distinct
+  // request once.
+  ConvolutionService reference;
+  for (const auto& client : answers) {
+    for (const auto& [salt, response] : client) {
+      const ConvolutionResponse want = reference.run(mixed_request(salt));
+      EXPECT_TRUE(response.result.output == want.result.output)
+          << "salt " << salt;
+      EXPECT_EQ(response.result.compressed_samples,
+                want.result.compressed_samples)
+          << "salt " << salt;
+      EXPECT_EQ(response.result.exchanged_bytes, want.result.exchanged_bytes)
+          << "salt " << salt;
+    }
+  }
+  EXPECT_EQ(reference.stats().cache.evictions, 0u);
 }
 
 TEST(StressService, RepeatedIdenticalRequestsStayConsistent) {

@@ -236,6 +236,79 @@ TEST(HierarchicalComm, OracleMismatchThrows) {
       InvalidArgument);
 }
 
+TEST(HierarchicalComm, OracleDisagreementThrowsOrDeliversSentBundles) {
+  // One rank's size oracle disagrees with every other rank's for one
+  // (source, node) pair, one double shorter or longer. Over all choices the
+  // perturbing rank takes every role in turn — the source itself, the
+  // gathering leader, the receiving leader, a forwarded-to peer, a
+  // bystander — and the exchange must either throw or hand every rank
+  // exactly the bundles that were sent: never mis-framed data, never a
+  // hang. The cluster must still run a correct exchange afterwards.
+  const Topology topo = Topology::grouped(6, 3);
+  const int nodes = topo.nodes();
+  SimCluster cluster(topo);
+  // Ships the true bundles; `believed(me, src, node)` is the size rank `me`
+  // expects from src for node. Returns how many received bundles differ
+  // from what was sent.
+  const auto exchange = [&](const auto& believed) {
+    std::atomic<int> misframed{0};
+    cluster.run([&](Rank& rank) {
+      const int me = rank.id();
+      std::vector<std::vector<double>> outgoing(
+          static_cast<std::size_t>(nodes));
+      for (int d = 0; d < nodes; ++d) {
+        auto& b = outgoing[static_cast<std::size_t>(d)];
+        b.resize(bundle_len(me, d, nodes));
+        for (std::size_t j = 0; j < b.size(); ++j) b[j] = bundle_value(me, d, j);
+      }
+      const auto incoming = node_multicast_exchange(
+          rank, outgoing,
+          [&](int src, int dst_node) { return believed(me, src, dst_node); });
+      const int my_node = rank.topology().node_of(me);
+      for (int src = 0; src < rank.size(); ++src) {
+        std::vector<double> sent(bundle_len(src, my_node, nodes));
+        for (std::size_t j = 0; j < sent.size(); ++j) {
+          sent[j] = bundle_value(src, my_node, j);
+        }
+        if (incoming[static_cast<std::size_t>(src)] != sent) {
+          misframed.fetch_add(1);
+        }
+      }
+    });
+    return misframed.load();
+  };
+
+  int threw = 0;
+  int delivered = 0;
+  for (int perturber = 0; perturber < topo.ranks(); ++perturber) {
+    for (int src = 0; src < topo.ranks(); ++src) {
+      for (int node = 0; node < nodes; ++node) {
+        for (const int delta : {-1, 1}) {
+          const auto believed = [&](int me, int s, int d) {
+            const std::size_t len = bundle_len(s, d, nodes);
+            if (me != perturber || s != src || d != node) return len;
+            return delta < 0 ? len - 1 : len + 1;
+          };
+          try {
+            EXPECT_EQ(exchange(believed), 0)
+                << "rank " << perturber << " mis-sizes (" << src << ", "
+                << node << ") by " << delta;
+            ++delivered;
+          } catch (const Error&) {
+            ++threw;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(threw, 0);
+  EXPECT_GT(delivered, 0);
+  EXPECT_EQ(exchange([nodes](int, int s, int d) {
+              return bundle_len(s, d, nodes);
+            }),
+            0);
+}
+
 class LowCommPipelineHierarchical : public ::testing::Test {
  protected:
   static core::LowCommParams params(i64 k, i64 rate) {

@@ -45,27 +45,24 @@ TEST(Decomposition, SingleDomainWhenKEqualsN) {
 
 TEST(Decomposition, AssignmentsCoverAllWithoutOverlap) {
   const DomainDecomposition d(Grid3::cube(64), 16);
-  for (const auto how : {Assignment::kBlockedMorton, Assignment::kRoundRobin}) {
-    std::vector<int> owner(d.count(), -1);
-    for (int r = 0; r < 3; ++r) {
-      for (const auto i : d.assigned_to(r, 3, how)) {
-        EXPECT_EQ(owner[i], -1);
-        owner[i] = r;
-      }
+  std::vector<int> owner(d.count(), -1);
+  for (int r = 0; r < 3; ++r) {
+    for (const auto i : d.assigned_to(r, 3)) {
+      EXPECT_EQ(owner[i], -1);
+      owner[i] = r;
     }
-    for (const int o : owner) EXPECT_NE(o, -1);
   }
+  for (const int o : owner) EXPECT_NE(o, -1);
 }
 
 TEST(Decomposition, BlockedMortonAssignmentIsSpatiallyCompact) {
   // 64 sub-domains over 8 ranks: each rank's blocked-Morton share must be
-  // one 2x2x2 octant (a 32-cube), while round-robin scatters every rank
-  // across the whole grid. Compactness is what makes node-grouped ranks
-  // share octree cells — the locality the hierarchical exchange and the
-  // planner's node-dedup model rely on.
+  // one 2x2x2 octant (a 32-cube). Compactness is what makes node-grouped
+  // ranks share octree cells — the locality the hierarchical exchange and
+  // the planner's node-dedup model rely on.
   const DomainDecomposition d(Grid3::cube(64), 16);
   for (int r = 0; r < 8; ++r) {
-    const auto mine = d.assigned_to(r, 8, Assignment::kBlockedMorton);
+    const auto mine = d.assigned_to(r, 8);
     ASSERT_EQ(mine.size(), 8u);
     Box3 hull = d.subdomain(mine.front());
     for (const auto i : mine) {
@@ -78,8 +75,6 @@ TEST(Decomposition, BlockedMortonAssignmentIsSpatiallyCompact) {
     EXPECT_EQ(hull.extents().size(), Grid3::cube(32).size())
         << "rank " << r << " does not own a compact octant";
   }
-  const auto scattered = d.assigned_to(0, 8, Assignment::kRoundRobin);
-  EXPECT_EQ(scattered, (std::vector<std::size_t>{0, 8, 16, 24, 32, 40, 48, 56}));
 }
 
 TEST(Hyperparams, SubdomainDivisorsDescendAndDivide) {
@@ -307,15 +302,11 @@ TEST_F(LocalConvolverTest, RealPathDispatchFollowsOperatorAndConfig) {
   LocalConvolverConfig off;
   off.real = LocalConvolverConfig::RealPath::kOff;
   EXPECT_FALSE(LocalConvolver(grid_, kernel_, off).uses_real_path());
-  LocalConvolverConfig force;
-  force.real = LocalConvolverConfig::RealPath::kForce;
-  EXPECT_TRUE(LocalConvolver(grid_, kernel_, force).uses_real_path());
-  // kAuto + Hermitian kernel follows LC_REAL (unset in the test runner).
+  // kAuto (the default) + Hermitian kernel takes the real path.
   EXPECT_TRUE(LocalConvolver(grid_, kernel_).uses_real_path());
-  // A non-Hermitian operator never takes the real path; forcing it throws.
+  // A non-Hermitian operator never takes the real path.
   auto rot = std::make_shared<RotateOp>();
   EXPECT_FALSE(LocalConvolver(grid_, rot).uses_real_path());
-  EXPECT_THROW(LocalConvolver(grid_, rot, force), InvalidArgument);
 }
 
 TEST_F(LocalConvolverTest, RealPathMatchesComplexPathAndDenseReference) {
@@ -325,11 +316,12 @@ TEST_F(LocalConvolverTest, RealPathMatchesComplexPathAndDenseReference) {
   auto tree = std::make_shared<sampling::Octree>(
       grid_, Box3::cube_at(corner, k), sampling::SamplingPolicy::uniform(1));
   LocalConvolverConfig real_cfg;
-  real_cfg.real = LocalConvolverConfig::RealPath::kForce;
+  real_cfg.real = LocalConvolverConfig::RealPath::kAuto;
   LocalConvolverConfig cplx_cfg;
   cplx_cfg.real = LocalConvolverConfig::RealPath::kOff;
-  const auto a = LocalConvolver(grid_, kernel_, real_cfg)
-                     .convolve_subdomain(chunk, corner, tree);
+  const LocalConvolver real_engine(grid_, kernel_, real_cfg);
+  ASSERT_TRUE(real_engine.uses_real_path());
+  const auto a = real_engine.convolve_subdomain(chunk, corner, tree);
   const auto b = LocalConvolver(grid_, kernel_, cplx_cfg)
                      .convolve_subdomain(chunk, corner, tree);
   const auto sa = a.samples();
@@ -352,11 +344,12 @@ TEST(LocalConvolverReal, MatchesComplexPathAcrossGridSizes) {
     auto tree = std::make_shared<sampling::Octree>(
         g, Box3::cube_at(corner, k), sampling::SamplingPolicy::uniform(2));
     LocalConvolverConfig real_cfg;
-    real_cfg.real = LocalConvolverConfig::RealPath::kForce;
+    real_cfg.real = LocalConvolverConfig::RealPath::kAuto;
     LocalConvolverConfig cplx_cfg;
     cplx_cfg.real = LocalConvolverConfig::RealPath::kOff;
-    const auto a = LocalConvolver(g, kernel, real_cfg)
-                       .convolve_subdomain(chunk, corner, tree);
+    const LocalConvolver real_engine(g, kernel, real_cfg);
+    ASSERT_TRUE(real_engine.uses_real_path());
+    const auto a = real_engine.convolve_subdomain(chunk, corner, tree);
     const auto b = LocalConvolver(g, kernel, cplx_cfg)
                        .convolve_subdomain(chunk, corner, tree);
     const auto sa = a.samples();
@@ -376,12 +369,13 @@ TEST_F(LocalConvolverTest, RealPathHandlesPartialBatchTiles) {
   auto tree = std::make_shared<sampling::Octree>(
       grid_, Box3::cube_at(corner, k), sampling::SamplingPolicy::uniform(2));
   LocalConvolverConfig ragged;
-  ragged.real = LocalConvolverConfig::RealPath::kForce;
+  ragged.real = LocalConvolverConfig::RealPath::kAuto;
   ragged.batch = 37;
   LocalConvolverConfig cplx_cfg;
   cplx_cfg.real = LocalConvolverConfig::RealPath::kOff;
-  const auto a = LocalConvolver(grid_, kernel_, ragged)
-                     .convolve_subdomain(chunk, corner, tree);
+  const LocalConvolver real_engine(grid_, kernel_, ragged);
+  ASSERT_TRUE(real_engine.uses_real_path());
+  const auto a = real_engine.convolve_subdomain(chunk, corner, tree);
   const auto b = LocalConvolver(grid_, kernel_, cplx_cfg)
                      .convolve_subdomain(chunk, corner, tree);
   const auto sa = a.samples();
@@ -402,11 +396,12 @@ TEST_F(LocalConvolverTest, RealPathMultiChannelMatchesComplexPath) {
   auto tree = std::make_shared<sampling::Octree>(
       grid_, Box3::cube_at(corner, k), sampling::SamplingPolicy::uniform(1));
   LocalConvolverConfig real_cfg;
-  real_cfg.real = LocalConvolverConfig::RealPath::kForce;
+  real_cfg.real = LocalConvolverConfig::RealPath::kAuto;
   LocalConvolverConfig cplx_cfg;
   cplx_cfg.real = LocalConvolverConfig::RealPath::kOff;
-  const auto a = LocalConvolver(grid_, op, real_cfg)
-                     .convolve_channels(chunks, corner, tree);
+  const LocalConvolver real_engine(grid_, op, real_cfg);
+  ASSERT_TRUE(real_engine.uses_real_path());
+  const auto a = real_engine.convolve_channels(chunks, corner, tree);
   const auto b = LocalConvolver(grid_, op, cplx_cfg)
                      .convolve_channels(chunks, corner, tree);
   ASSERT_EQ(a.size(), b.size());
@@ -416,29 +411,6 @@ TEST_F(LocalConvolverTest, RealPathMultiChannelMatchesComplexPath) {
     for (std::size_t i = 0; i < sa.size(); ++i) {
       ASSERT_NEAR(sa[i], sb[i], 1e-12) << "c=" << c << " i=" << i;
     }
-  }
-}
-
-TEST_F(LocalConvolverTest, LcRealOffEnvIsBitExactWithComplexConfig) {
-  const i64 k = 8;
-  const Index3 corner{8, 8, 8};
-  const RealField chunk = random_field(Grid3::cube(k), 34);
-  auto tree = std::make_shared<sampling::Octree>(
-      grid_, Box3::cube_at(corner, k), sampling::SamplingPolicy::uniform(2));
-  LocalConvolverConfig cplx_cfg;
-  cplx_cfg.real = LocalConvolverConfig::RealPath::kOff;
-  const auto want = LocalConvolver(grid_, kernel_, cplx_cfg)
-                        .convolve_subdomain(chunk, corner, tree);
-  ASSERT_EQ(setenv("LC_REAL", "off", 1), 0);
-  const LocalConvolver env_engine(grid_, kernel_);  // kAuto, env says off
-  ASSERT_EQ(unsetenv("LC_REAL"), 0);
-  EXPECT_FALSE(env_engine.uses_real_path());
-  const auto got = env_engine.convolve_subdomain(chunk, corner, tree);
-  const auto sw = want.samples();
-  const auto sg = got.samples();
-  ASSERT_EQ(sw.size(), sg.size());
-  for (std::size_t i = 0; i < sw.size(); ++i) {
-    EXPECT_EQ(sw[i], sg[i]) << i;  // bit-exact: identical complex code path
   }
 }
 

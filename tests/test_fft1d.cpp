@@ -268,7 +268,7 @@ TEST(RealFft, HermitianEdgeBinsAreReal) {
   EXPECT_NEAR(spec[n / 2].imag(), 0.0, 1e-12);
 }
 
-// --- Pruned transforms ------------------------------------------------------
+// --- Input-pruned transform -------------------------------------------------
 
 TEST(Pruned, InputPrunedMatchesPaddedTransform) {
   const std::size_t n = 128;
@@ -293,49 +293,6 @@ TEST(Pruned, InputPrunedRejectsOverflow) {
   FftWorkspace ws;
   std::vector<cplx> chunk(8), out(16);
   EXPECT_THROW(input_pruned_forward(plan, chunk, 10, out, ws), InvalidArgument);
-}
-
-TEST(Pruned, OutputPrunedBothStrategiesMatchFullInverse) {
-  const std::size_t n = 64;
-  auto spec = random_signal(n, 31);
-  Fft1D plan(n);
-  FftWorkspace ws;
-  std::vector<cplx> full = spec;
-  plan.inverse(full, ws);
-
-  const std::vector<std::size_t> wanted{0, 3, 17, 31, 63};
-  std::vector<cplx> got_direct(wanted.size());
-  std::vector<cplx> got_full(wanted.size());
-  output_pruned_inverse(plan, spec, wanted, got_direct, ws, PruneStrategy::kDirect);
-  output_pruned_inverse(plan, spec, wanted, got_full, ws, PruneStrategy::kFullTransform);
-  for (std::size_t i = 0; i < wanted.size(); ++i) {
-    EXPECT_LT(std::abs(got_direct[i] - full[wanted[i]]), 1e-9);
-    EXPECT_LT(std::abs(got_full[i] - full[wanted[i]]), 1e-12);
-  }
-}
-
-TEST(Pruned, AutoStrategyPicksDirectForTinySubsets) {
-  // Pow2 lengths: the batched radix path makes the full inverse cheaper
-  // than even a single direct output (measured, see direct_prune_profitable).
-  EXPECT_FALSE(direct_prune_profitable(1024, 1));
-  EXPECT_FALSE(direct_prune_profitable(1024, 4));
-  EXPECT_FALSE(direct_prune_profitable(1024, 512));
-  // Bluestein lengths pay ~4x per transform; 1-2 outputs still go direct.
-  EXPECT_TRUE(direct_prune_profitable(1000, 1));
-  EXPECT_TRUE(direct_prune_profitable(1000, 2));
-  EXPECT_FALSE(direct_prune_profitable(1000, 4));
-  EXPECT_FALSE(direct_prune_profitable(1, 0));
-}
-
-TEST(Pruned, OutputPrunedRejectsBadIndex) {
-  Fft1D plan(8);
-  FftWorkspace ws;
-  std::vector<cplx> spec(8);
-  const std::vector<std::size_t> wanted{9};
-  std::vector<cplx> out(1);
-  EXPECT_THROW(
-      output_pruned_inverse(plan, spec, wanted, out, ws, PruneStrategy::kDirect),
-      InvalidArgument);
 }
 
 }  // namespace

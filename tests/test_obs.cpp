@@ -15,7 +15,6 @@
 
 #include "comm/sim_cluster.hpp"
 #include "common/rng.hpp"
-#include "common/runtime_flags.hpp"
 #include "common/timer.hpp"
 #include "core/pipeline.hpp"
 #include "green/gaussian.hpp"
@@ -490,6 +489,70 @@ TEST(ObsTrace, DroppedEventsSurfaceInExportSnapshotAndCounter) {
   EXPECT_NE(json.find("\"droppedEvents\":3,"), std::string::npos);
 }
 
+// Completed spans named `name` in the global tracer so far.
+std::size_t span_count(const char* name) {
+  std::size_t n = 0;
+  for (const auto& thread : obs::Tracer::global().snapshot()) {
+    for (const auto& ev : thread.events) {
+      if (ev.phase == 'X' && std::strcmp(ev.name, name) == 0) ++n;
+    }
+  }
+  return n;
+}
+
+TEST(ObsTrace, ComplexPathRecordsEveryStageSpan) {
+  // The complex ground-truth path (RealPath::kOff) must stay instrumented
+  // exactly like the default half-spectrum engine: one span per stage and
+  // one sample in each stage histogram per call — the path-dependent items
+  // tools/check_obs_outputs.py requires of a run.
+  const Grid3 grid = Grid3::cube(32);
+  auto kernel = std::make_shared<green::GaussianSpectrum>(grid, 2.0);
+  const i64 k = 8;
+  const Index3 corner{8, 8, 8};
+  RealField chunk(Grid3::cube(k));
+  SplitMix64 rng(17);
+  for (auto& v : chunk.span()) v = rng.uniform(-1.0, 1.0);
+  auto tree = std::make_shared<sampling::Octree>(
+      grid, Box3::cube_at(corner, k), sampling::SamplingPolicy::uniform(2));
+
+  const char* const spans[] = {"convolver.stage1_xy", "convolver.stage2_z",
+                               "convolver.stage3_planes"};
+  const char* const histograms[] = {"convolver.stage1_seconds",
+                                    "convolver.stage2_seconds",
+                                    "convolver.stage3_seconds"};
+  const auto counts = [&] {
+    std::vector<std::size_t> c;
+    for (const char* name : spans) c.push_back(span_count(name));
+    for (const char* name : histograms) {
+      c.push_back(obs::Registry::global().histogram(name).count());
+    }
+    return c;
+  };
+  // Span and histogram-sample deltas of one convolve call.
+  const auto record = [&](core::LocalConvolverConfig::RealPath path,
+                          bool want_real) {
+    core::LocalConvolverConfig cfg;
+    cfg.real = path;
+    cfg.pool = nullptr;
+    const core::LocalConvolver engine(grid, kernel, cfg);
+    EXPECT_EQ(engine.uses_real_path(), want_real);
+    const std::vector<std::size_t> before = counts();
+    obs::Tracer::global().enable();
+    (void)engine.convolve_subdomain(chunk, corner, tree);
+    obs::Tracer::global().disable();
+    std::vector<std::size_t> delta = counts();
+    for (std::size_t i = 0; i < delta.size(); ++i) delta[i] -= before[i];
+    return delta;
+  };
+
+  const auto complex_path =
+      record(core::LocalConvolverConfig::RealPath::kOff, false);
+  const auto default_path =
+      record(core::LocalConvolverConfig::RealPath::kAuto, true);
+  EXPECT_EQ(complex_path, std::vector<std::size_t>(6, 1));
+  EXPECT_EQ(complex_path, default_path);
+}
+
 // --- Prometheus: real cumulative histogram next to the summary -------------
 
 TEST(ObsRegistry, PrometheusEmitsCumulativeHistogramBuckets) {
@@ -724,10 +787,10 @@ TEST(ObsTelemetry, DistributedConvolveEmitsOnePlanOutcome) {
   EXPECT_EQ(rec.pred_inter_msgs, 2);
   const sampling::Octree central(grid, Box3::cube_at({16, 16, 16}, 16),
                                  params.make_policy());
-  const bool half = real_path_enabled() && kernel->hermitian();
   EXPECT_EQ(rec.pred_point_passes,
             4.0 * obs::modeled_point_passes(
-                      32, 16, central.retained_z_planes().size(), half));
+                      32, 16, central.retained_z_planes().size(),
+                      kernel->hermitian()));
 
   // A second call on the same cluster reuses its exchange plan; every
   // prediction must come out the same.

@@ -1,7 +1,7 @@
 // Tests for the execution planner (src/planner): the Eqn 6 volume and
 // accuracy heuristics it prices with, agreement between its per-level wire
 // predictions and executed cluster stats, the planner-vs-exhaustive oracle,
-// plan caching in the runtime ResourceCache, and the LC_PLANNER=off
+// plan caching in the runtime ResourceCache, and the Mode::kOff
 // bit-for-bit escape hatch through ConvolutionService.
 #include <gtest/gtest.h>
 
@@ -236,32 +236,12 @@ TEST(Planner, PinnedModeRepairsIllegalSubdomain) {
   EXPECT_EQ(plan.params().batch, 256u);
 }
 
-TEST(Planner, ProbeModeUsesInjectedMeasurements) {
-  PlannerConfig config;
-  config.mode = Mode::kProbe;
-  config.rate_grid = {2, 4};
-  int probes = 0;
-  // Stub probe: make LARGER k dramatically cheaper than the analytic model
-  // believes, and require the probe ranking to flip the choice toward it.
-  config.probe = [&probes](const PlanRequest&, const Candidate& c) {
-    ++probes;
-    return c.params.subdomain >= 16 ? 1e-9 : 10.0;
-  };
-  const Planner planner(config);
-  const ExecutionPlan plan = planner.plan(small_request());
-  EXPECT_GT(probes, 0);
-  EXPECT_LE(probes, static_cast<int>(config.probe_top));
-  EXPECT_GE(plan.choice.params.subdomain, 16);
-  EXPECT_GT(plan.probed_seconds, 0.0);
-}
-
 TEST(Planner, EnumerationSpansCodecGridAndPricesIt) {
-  // With LC_WIRE unset the planner searches the codec dimension: the same
+  // The planner searches the codec dimension: the same
   // (k, schedule, r, route) shape appears once per grid codec, lossy codecs
   // carry their quantization term in the accuracy screen, and 2-byte codecs
   // price at a fraction of the fp64 wire bytes.
-  ::unsetenv("LC_WIRE");
-  PlannerConfig cfg;  // codec_grid resolved here, after the unsetenv
+  PlannerConfig cfg;
   cfg.exact_top = 0;  // keep every price closed-form → comparable pairs
   const Planner planner(cfg);
   ASSERT_EQ(planner.config().codec_grid.size(), 4u);
@@ -291,30 +271,23 @@ TEST(Planner, EnumerationSpansCodecGridAndPricesIt) {
   EXPECT_EQ(off->candidate.name().find("wire="), std::string::npos);
 }
 
-TEST(Planner, ExplicitLcWirePinsTheCodecGrid) {
-  ::setenv("LC_WIRE", "bf16", 1);
-  const auto pinned = default_codec_grid();
-  ASSERT_EQ(pinned.size(), 1u);
-  EXPECT_EQ(pinned[0], comm::WireCodec::kBf16);
-  ::unsetenv("LC_WIRE");
-  const auto open = default_codec_grid();
-  ASSERT_EQ(open.size(), 4u);
-  EXPECT_EQ(open[0], comm::WireCodec::kOff);
-}
-
-TEST(Planner, ModeFromEnvParsesAllValues) {
-  ::setenv("LC_PLANNER", "off", 1);
-  EXPECT_EQ(mode_from_env(), Mode::kOff);
-  ::setenv("LC_PLANNER", "probe", 1);
-  EXPECT_EQ(mode_from_env(), Mode::kProbe);
-  ::setenv("LC_PLANNER", "analytic", 1);
-  EXPECT_EQ(mode_from_env(), Mode::kAnalytic);
-  ::unsetenv("LC_PLANNER");
-  EXPECT_EQ(mode_from_env(), Mode::kAnalytic);
-  // Typos no longer fall back silently — they fail loudly at first read.
-  ::setenv("LC_PLANNER", "prob", 1);
-  EXPECT_THROW((void)mode_from_env(), InvalidArgument);
-  ::unsetenv("LC_PLANNER");
+TEST(Planner, CodecGridPinsTheSearchedCodec) {
+  // The default grid spans the useful codecs; a one-codec grid pins the
+  // wire format, so every block candidate and the pick carry that codec.
+  EXPECT_EQ(PlannerConfig{}.codec_grid,
+            (std::vector<comm::WireCodec>{
+                comm::WireCodec::kOff, comm::WireCodec::kFp32,
+                comm::WireCodec::kBf16, comm::WireCodec::kQ16}));
+  PlannerConfig cfg;
+  cfg.codec_grid = {comm::WireCodec::kBf16};
+  const Planner planner(cfg);
+  for (const auto& rc : planner.enumerate(small_request())) {
+    if (rc.candidate.kind == DecompKind::kBlock) {
+      EXPECT_EQ(rc.candidate.params.wire, comm::WireCodec::kBf16);
+    }
+  }
+  EXPECT_EQ(planner.plan(small_request()).params().wire,
+            comm::WireCodec::kBf16);
 }
 
 // --- Plan caching through the runtime ResourceCache ------------------------
@@ -365,7 +338,7 @@ TEST(PlanProvider, CacheKeySeparatesShapeTopologyDeviceAndPin) {
   other = req;
   other.pinned = params_of(8, 4);
   EXPECT_NE(cache_key(other, Mode::kAnalytic), base);
-  EXPECT_NE(cache_key(req, Mode::kProbe), base);
+  EXPECT_NE(cache_key(req, Mode::kOff), base);
   // The wire codec seeds the candidate grid, so it salts the key too —
   // both the base codec and a pinned-params codec.
   other = req;
@@ -381,7 +354,7 @@ TEST(PlanProvider, CacheKeySeparatesShapeTopologyDeviceAndPin) {
 // --- Service integration ---------------------------------------------------
 
 TEST(ServicePlanner, OffModeMatchesPlannedPinnedRunBitForBit) {
-  // LC_PLANNER=off must reproduce the pre-planner service behaviour
+  // Mode::kOff must reproduce the pre-planner service behaviour
   // exactly; with legal pinned params the planner changes nothing, so the
   // two runs must agree bit for bit.
   const Grid3 g = Grid3::cube(32);
