@@ -57,14 +57,15 @@ LevelTraffic hierarchical_exchange_traffic(int ranks, int ranks_per_node,
   const double p = static_cast<double>(ranks);
   const double g = static_cast<double>(ranks_per_node);
   const double nodes = p / g;
-  // Split of each rank's Eqn-6 volume between its own node and the rest,
-  // under the flat per-pair spread (the volume the routing re-arranges).
-  const double own_bundle = bytes_per_rank * (g - 1.0) / (p - 1.0);
+  // Each rank's Eqn-6 volume under the flat per-pair spread (the volume the
+  // routing re-arranges): `pair` per destination rank, and its remote share
+  // as node bundles, deduplicated over each node's members.
+  const double pair = bytes_per_rank / (p - 1.0);
   const double remote = bytes_per_rank * (p - g) / (p - 1.0) / node_dedup;
-  // Own-node multicast: every rank hands its own-node bundle to each of its
-  // g−1 node peers directly.
+  // Own node: every rank hands each of its g−1 node peers its pair buffer
+  // directly.
   t.intra_messages = rounded(p * (g - 1.0));
-  t.intra_bytes = rounded(p * (g - 1.0) * own_bundle);
+  t.intra_bytes = rounded(p * (g - 1.0) * pair);
   // Gather: every non-leader funnels its whole remote share to the leader
   // in one message.
   t.intra_messages += rounded(nodes * (g - 1.0));
@@ -73,10 +74,11 @@ LevelTraffic hierarchical_exchange_traffic(int ranks, int ranks_per_node,
   // senders' (deduplicated) share for that destination node.
   t.inter_messages = rounded(nodes * (nodes - 1.0));
   t.inter_bytes = rounded(p * remote);
-  // Redistribute: the destination leader forwards each received bundle to
-  // its g−1 peers.
+  // Redistribute: the destination leader sends each of its g−1 peers, in
+  // one message per source node, only that peer's pair buffers from the
+  // p−g remote ranks (the node dedup does not reach below the leader).
   t.intra_messages += rounded(nodes * (nodes - 1.0) * (g - 1.0));
-  t.intra_bytes += rounded(nodes * (g - 1.0) * g * remote);
+  t.intra_bytes += rounded(nodes * (g - 1.0) * (p - g) * pair);
   return t;
 }
 

@@ -92,10 +92,11 @@ struct LevelTimes {
                                                  double bytes_per_rank);
 
 /// Analytic traffic of the composed hierarchical exchange (split → inter →
-/// intra): non-leaders funnel their remote share through the node leader
-/// (intra), leaders exchange one combined message per ordered node pair
-/// (inter), and the destination leader redistributes each received bundle
-/// to its node peers (intra). `node_dedup >= 1` is the factor by which
+/// intra): node-mates swap their pair buffers directly and non-leaders
+/// funnel their remote share through the node leader (intra), leaders
+/// exchange one combined message per ordered node pair (inter), and the
+/// destination leader hands each node peer only that peer's part of every
+/// received bundle (intra). `node_dedup >= 1` is the factor by which
 /// node-granularity packing shrinks the inter-node payload (a cell needed
 /// by several ranks of one node crosses the network once instead of once
 /// per rank); 1 means no overlap.

@@ -1,26 +1,31 @@
-// Composed topology-aware collectives (ROADMAP item 1), built entirely from
+// Composed topology-aware collective (ROADMAP item 1), built entirely from
 // Rank::send / Rank::recv point-to-point primitives in the ExaComm/HiCCL
 // style: a collective is a fixed schedule of striped intra-node and
 // inter-node phases (split → inter → intra) rather than a monolithic
 // primitive. Phasing for the personalised exchange:
 //
-//   split (intra):  every non-leader funnels its remote-bound payload to
-//                   its node leader in ONE message;
+//   split (intra):  own-node buffers travel directly between node-mates,
+//                   one per ordered pair; every non-leader funnels its
+//                   remote-bound bundles to its node leader in ONE message;
 //   inter:          leaders exchange ONE combined message per ordered node
 //                   pair — the expensive link is crossed exactly once per
-//                   pair, however many ranks share each node;
-//   intra:          the destination leader redistributes each received
-//                   bundle to its node peers; own-node payloads travel
-//                   directly between node-mates.
+//                   pair, however many ranks share each node, and each
+//                   bundle inside it is deduplicated for the whole node;
+//   intra:          the destination leader cuts every received bundle into
+//                   its node-mates' pieces and sends each mate only its
+//                   own, one message per (source node, mate) — HiCCL's
+//                   rule that each output element is written by a single
+//                   primitive.
 //
 // Framing carries no metadata: SPMD callers are deterministic, so both
-// sides compute every bundle size from a shared size oracle (the same
-// "octrees are reproducible from (grid, params)" idiom the flat exchange
-// uses). All blocking waits sit in Rank::recv / barrier, so a peer failure
-// unwinds these collectives with RankAborted exactly like the built-ins.
+// sides compute every buffer size from shared size oracles, and the cut of
+// a bundle into pieces comes from the caller (comm never looks inside a
+// payload). All blocking waits sit in Rank::recv / barrier, so a peer
+// failure unwinds this collective with RankAborted like the built-ins.
 #pragma once
 
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "comm/sim_cluster.hpp"
@@ -28,33 +33,33 @@
 
 namespace lc::comm {
 
-/// Doubles rank `src` addresses to node `dst_node`. Must be a pure function
-/// of (src, dst_node) agreed by every rank.
-using NodeBundleSizes = std::function<std::size_t(int src, int dst_node)>;
+/// How the caller frames the payloads of hierarchical_exchange. Every
+/// member must be a pure function of its arguments, agreed by every rank.
+struct HierarchicalFraming {
+  /// Doubles rank `src` addresses to rank `dst`: the buffer Rank::all_to_all
+  /// would carry from src to dst.
+  std::function<std::size_t(int src, int dst)> pair_doubles;
+  /// Doubles of the one bundle rank `src` addresses to remote node `node`
+  /// (deduplicated over the node's members).
+  std::function<std::size_t(int src, int node)> node_doubles;
+  /// Cut the bundle `src` addressed to the calling leader's node into one
+  /// piece per member of that node, in member order: piece i must be
+  /// exactly the buffer src would send member i directly.
+  std::function<std::vector<std::vector<double>>(
+      int src, std::span<const double> bundle)>
+      split;
+};
 
-/// Doubles rank `src` addresses to rank `dst`. Must be a pure function of
-/// (src, dst) agreed by every rank.
-using PairSizes = std::function<std::size_t(int src, int dst)>;
-
-/// Node-multicast personalised exchange: `outgoing[d]` is this rank's
-/// bundle for node d, and EVERY rank of node d receives it (the caller
-/// packs a bundle once per destination node — the dedup that makes
-/// inter-node bytes drop below the flat per-rank exchange — and each
-/// receiver picks out the part it needs). Returns the received bundles
-/// indexed by SOURCE RANK: incoming[s] is rank s's bundle for this rank's
-/// node (incoming[id()] is the self bundle). Counts one collective round.
-[[nodiscard]] std::vector<std::vector<double>> node_multicast_exchange(
-    Rank& rank, const std::vector<std::vector<double>>& outgoing,
-    const NodeBundleSizes& bundle_doubles);
-
-/// Per-rank personalised all-to-all routed along the topology: a drop-in
-/// for Rank::all_to_all (same inputs, same outputs) that ships each node
-/// pair's traffic in one inter-node message instead of one per rank pair.
-/// Payload bytes on the inter link match the flat exchange (no dedup at
-/// per-rank granularity) but the message count falls from
-/// ranks²-ish to nodes², which is where the α term of Eqn 2 goes to die.
-[[nodiscard]] std::vector<std::vector<double>> hierarchical_all_to_all(
-    Rank& rank, const std::vector<std::vector<double>>& outgoing,
-    const PairSizes& pair_doubles);
+/// Hierarchical personalised exchange. `direct[q]` is this rank's buffer
+/// for node-mate q (itself included; entries for ranks on other nodes must
+/// be empty) and `bundles[n]` its bundle for remote node n (this rank's own
+/// node's entry must be empty). Returns, indexed by SOURCE RANK, exactly
+/// what Rank::all_to_all would deliver: incoming[s] is rank s's buffer for
+/// this rank (incoming[id()] is the self buffer, moved out of `direct`).
+/// Counts one collective round.
+[[nodiscard]] std::vector<std::vector<double>> hierarchical_exchange(
+    Rank& rank, std::vector<std::vector<double>> direct,
+    std::vector<std::vector<double>> bundles,
+    const HierarchicalFraming& framing);
 
 }  // namespace lc::comm

@@ -115,6 +115,10 @@ void WireEncoder::add_cell(std::span<const double> samples) {
   }
 }
 
+void WireEncoder::add_encoded_cell(std::span<const unsigned char> encoded) {
+  append(encoded.data(), encoded.size());
+}
+
 std::size_t WireEncoder::finish() {
   const std::size_t need = wire_doubles(bytes_);
   if (out_.size() != need) out_.resize(need, 0.0);
@@ -165,6 +169,15 @@ void WireDecoder::read_cell(std::span<double> out) {
     }
   }
   bytes_ += need;
+}
+
+std::span<const unsigned char> WireDecoder::read_encoded_cell(
+    std::size_t samples) {
+  const std::size_t need = encoded_cell_bytes(codec_, samples);
+  LC_CHECK(bytes_ + need <= size_bytes_, "wire payload framing mismatch");
+  const std::span<const unsigned char> cell(base_ + bytes_, need);
+  bytes_ += need;
+  return cell;
 }
 
 void WireDecoder::finish() const {

@@ -114,6 +114,11 @@ class WireEncoder {
   /// Encode one cell's samples (q16 derives and stores the block scale).
   void add_cell(std::span<const double> samples);
 
+  /// Byte-exact passthrough: append one cell exactly as another encoder of
+  /// the same codec wrote it (the bytes WireDecoder::read_encoded_cell
+  /// returns), so forwarding a cell never re-quantises it.
+  void add_encoded_cell(std::span<const unsigned char> encoded);
+
   /// Pad to a whole number of wire doubles; returns encoded bytes.
   std::size_t finish();
 
@@ -147,6 +152,11 @@ class WireDecoder {
 
   /// Decode the next cell into `out` (out.size() = the cell's sample count).
   void read_cell(std::span<double> out);
+
+  /// Consume the next cell of `samples` values without decoding it: its
+  /// encoded bytes, valid while the wire buffer lives.
+  [[nodiscard]] std::span<const unsigned char> read_encoded_cell(
+      std::size_t samples);
 
   /// Throws InternalError unless the bundle is fully consumed.
   void finish() const;

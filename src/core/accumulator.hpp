@@ -14,6 +14,7 @@
 // ranks) degrade to serial automatically.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -29,6 +30,19 @@ namespace lc::core {
     const Box3& region,
     sampling::Interpolation interp = sampling::Interpolation::kTrilinear,
     ThreadPool* pool = nullptr);
+
+/// Streaming form of accumulate_region over several regions at once: add
+/// one contribution's reconstruction into `tiles`, where tiles[i] is a
+/// tight field covering regions[i] (zero-filled before the first call).
+/// Feeding contributions one call at a time in vector order leaves each
+/// tile bit-identical to accumulate_region over that vector — the same
+/// slab kernel adds them in the same per-point order — while only one
+/// contribution has to exist at a time. Serial; records into the same
+/// accumulate.region span and timer as accumulate_region.
+void accumulate_into(
+    const sampling::CompressedField& contribution,
+    std::span<const Box3> regions, std::span<RealField> tiles,
+    sampling::Interpolation interp = sampling::Interpolation::kTrilinear);
 
 /// Assemble a full dense grid by accumulating every contribution everywhere
 /// (test/verification path; a production run only accumulates the regions

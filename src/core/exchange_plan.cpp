@@ -1,10 +1,12 @@
 #include "core/exchange_plan.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <utility>
 
-#include "comm/wire_codec.hpp"
+#include "comm/hierarchical.hpp"
 #include "core/pipeline.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace lc::core {
@@ -53,16 +55,18 @@ ExchangePlan::ExchangePlan(const Grid3& grid, const LowCommParams& params,
       topo_(std::move(topo)),
       hierarchical_(resolve_route(route, topo_) ==
                     ExchangeRoute::kHierarchical),
-      groups_(hierarchical_ ? topo_.nodes() : topo_.ranks()),
-      words_((static_cast<std::size_t>(groups_) + 63) / 64) {
+      codec_(params.wire),
+      words_((static_cast<std::size_t>(topo_.ranks()) + 63) / 64) {
   LC_TRACE("exchange.plan_build");
-  const int ranks = topo_.ranks();
-  owned_.resize(static_cast<std::size_t>(ranks));
-  owner_group_.assign(decomp_.count(), 0);
-  for (int r = 0; r < ranks; ++r) {
-    owned_[static_cast<std::size_t>(r)] = decomp_.assigned_to(r, ranks);
+  const auto ranks = static_cast<std::size_t>(topo_.ranks());
+  const auto nodes = static_cast<std::size_t>(topo_.nodes());
+  owned_.resize(ranks);
+  owner_.assign(decomp_.count(), 0);
+  for (int r = 0; r < topo_.ranks(); ++r) {
+    owned_[static_cast<std::size_t>(r)] =
+        decomp_.assigned_to(r, topo_.ranks());
     for (const std::size_t d : owned_[static_cast<std::size_t>(r)]) {
-      owner_group_[d] = group_of(r);
+      owner_[d] = r;
     }
   }
 
@@ -77,26 +81,37 @@ ExchangePlan::ExchangePlan(const Grid3& grid, const LowCommParams& params,
     masks_.resize(decomp_.count());
   }
 
-  // Encoded bytes per (source rank, destination group), then rounded up to
-  // whole wire doubles once per bundle.
-  doubles_.assign(static_cast<std::size_t>(ranks) *
-                      static_cast<std::size_t>(groups_),
-                  0);
-  for (int src = 0; src < ranks; ++src) {
-    std::size_t* row = doubles_.data() + static_cast<std::size_t>(src) *
-                                             static_cast<std::size_t>(groups_);
-    for (const std::size_t d : owned_[static_cast<std::size_t>(src)]) {
+  // Encoded bytes per (source, destination rank) and, on the hierarchical
+  // route, per (source, node) — a cell enters a node's bundle once however
+  // many members need it (mask bits run in rank order and nodes are
+  // contiguous rank blocks) — then rounded up to whole wire doubles once
+  // per buffer.
+  pair_doubles_.assign(ranks * ranks, 0);
+  if (hierarchical_) node_doubles_.assign(ranks * nodes, 0);
+  for (std::size_t src = 0; src < ranks; ++src) {
+    std::size_t* pair_row = pair_doubles_.data() + src * ranks;
+    std::size_t* node_row =
+        hierarchical_ ? node_doubles_.data() + src * nodes : nullptr;
+    for (const std::size_t d : owned_[src]) {
       auto tree = tree_of(d);
       auto masks = cell_masks(*tree);
       const auto cells = tree->cells();
       for (std::size_t ci = 0; ci < cells.size(); ++ci) {
         const std::size_t bytes =
-            comm::encoded_cell_bytes(params.wire, cells[ci].sample_count());
+            comm::encoded_cell_bytes(codec_, cells[ci].sample_count());
+        int last_node = -1;
         for (std::size_t w = 0; w < words_; ++w) {
           for (std::uint64_t bits = masks[ci * words_ + w]; bits != 0;
                bits &= bits - 1) {
-            row[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))] +=
-                bytes;
+            const int r =
+                static_cast<int>(w * 64) + std::countr_zero(bits);
+            pair_row[r] += bytes;
+            if (node_row == nullptr) continue;
+            const int node = topo_.node_of(r);
+            if (node != last_node) {
+              node_row[node] += bytes;
+              last_node = node;
+            }
           }
         }
       }
@@ -106,7 +121,8 @@ ExchangePlan::ExchangePlan(const Grid3& grid, const LowCommParams& params,
       }
     }
   }
-  for (std::size_t& b : doubles_) b = comm::wire_doubles(b);
+  for (std::size_t& b : pair_doubles_) b = comm::wire_doubles(b);
+  for (std::size_t& b : node_doubles_) b = comm::wire_doubles(b);
   replay_schedule();
 }
 
@@ -127,8 +143,8 @@ std::vector<std::uint64_t> ExchangePlan::cell_masks(
           const auto d = static_cast<std::size_t>((bz * per_axis + by) *
                                                       per_axis +
                                                   bx);
-          const auto g = static_cast<std::size_t>(owner_group_[d]);
-          bits[ci * words_ + g / 64] |= std::uint64_t{1} << (g % 64);
+          const auto r = static_cast<std::size_t>(owner_[d]);
+          bits[ci * words_ + r / 64] |= std::uint64_t{1} << (r % 64);
         }
       }
     }
@@ -138,14 +154,13 @@ std::vector<std::uint64_t> ExchangePlan::cell_masks(
 
 void ExchangePlan::replay_schedule() {
   const int ranks = topo_.ranks();
-  const auto count = [&](bool inter, std::size_t doubles,
-                         std::size_t msgs = 1) {
+  const auto count = [&](bool inter, std::size_t doubles) {
     if (inter) {
       traffic_.inter_bytes += doubles * sizeof(double);
-      traffic_.inter_messages += msgs;
+      traffic_.inter_messages += 1;
     } else {
       traffic_.intra_bytes += doubles * sizeof(double);
-      traffic_.intra_messages += msgs;
+      traffic_.intra_messages += 1;
     }
   };
 
@@ -154,40 +169,162 @@ void ExchangePlan::replay_schedule() {
     // all_to_all ships them too), classified by node co-residency.
     for (int src = 0; src < ranks; ++src) {
       for (int dst = 0; dst < ranks; ++dst) {
-        if (dst != src) count(!topo_.same_node(src, dst), doubles(src, dst));
+        if (dst != src) {
+          count(!topo_.same_node(src, dst), pair_doubles(src, dst));
+        }
       }
     }
     return;
   }
 
-  // Hierarchical route: replay node_multicast_exchange's schedule — own-node
-  // multicast, non-leader gather, one inter message per ordered node pair,
-  // leader redistribution.
+  // Hierarchical route: replay hierarchical_exchange's schedule — direct
+  // own-node buffers, non-leader gather, one inter message per ordered node
+  // pair, and one message per (source node, mate) from the leader holding
+  // only that mate's pieces.
   for (int me = 0; me < ranks; ++me) {
     const int my_node = topo_.node_of(me);
     const auto members = topo_.members(my_node);
-    const auto peers = members.size() - 1;
-    count(false, peers * doubles(me, my_node), peers);
+    for (const int q : members) {
+      if (q != me) count(false, pair_doubles(me, q));
+    }
     if (!topo_.is_leader(me)) {
       std::size_t remote = 0;
-      for (int d = 0; d < groups_; ++d) {
-        if (d != my_node) remote += doubles(me, d);
+      for (int n = 0; n < topo_.nodes(); ++n) {
+        if (n != my_node) remote += node_doubles(me, n);
       }
       count(false, remote);
       continue;
     }
-    for (int d = 0; d < groups_; ++d) {
-      if (d == my_node) continue;
+    for (int n = 0; n < topo_.nodes(); ++n) {
+      if (n == my_node) continue;
       std::size_t combined = 0;
-      for (const int q : members) combined += doubles(q, d);
-      // Leaders exchange one combined message per ordered node pair, then
-      // forward each received bundle to every local peer.
-      count(!topo_.same_node(me, topo_.leader_of(d)), combined);
-      std::size_t inbound = 0;
-      for (const int q : topo_.members(d)) inbound += doubles(q, my_node);
-      count(false, peers * inbound, peers);
+      for (const int q : members) combined += node_doubles(q, n);
+      count(!topo_.same_node(me, topo_.leader_of(n)), combined);
+      for (const int q : members) {
+        if (q == me) continue;
+        std::size_t pieces = 0;
+        for (const int src : topo_.members(n)) pieces += pair_doubles(src, q);
+        count(false, pieces);
+      }
     }
   }
+}
+
+std::vector<std::vector<double>> ExchangePlan::split_bundle(
+    int src, int node, std::span<const double> bundle) const {
+  const auto members = topo_.members(node);
+  std::vector<std::vector<double>> pieces(members.size());
+  std::vector<comm::WireEncoder> enc;
+  enc.reserve(members.size());
+  for (auto& piece : pieces) enc.emplace_back(codec_, piece);
+  comm::WireDecoder dec(codec_, bundle);
+  for (const std::size_t d : owned(src)) {
+    const auto cells = trees_[d]->cells();
+    for (std::size_t ci = 0; ci < cells.size(); ++ci) {
+      if (!needed_by_node(d, ci, node)) continue;
+      const auto encoded = dec.read_encoded_cell(cells[ci].sample_count());
+      for (std::size_t i = 0; i < members.size(); ++i) {
+        if (needed(d, ci, members[i])) enc[i].add_encoded_cell(encoded);
+      }
+    }
+  }
+  dec.finish();
+  for (auto& e : enc) e.finish();
+  return pieces;
+}
+
+ExchangeOutcome exchange_samples(comm::Rank& rank, const ExchangePlan& plan,
+                                 std::vector<sampling::CompressedField> local) {
+  static obs::Counter& samples_shipped =
+      obs::Registry::global().counter("exchange.samples_shipped");
+  static obs::Counter& payload_bytes =
+      obs::Registry::global().counter("exchange.payload_bytes");
+  static obs::Counter& bytes_saved =
+      obs::Registry::global().counter("exchange.bytes_saved");
+  static obs::Gauge& max_quant_error =
+      obs::Registry::global().gauge("exchange.max_quant_error");
+
+  const int me = rank.id();
+  const comm::Topology& topo = rank.topology();
+  const int my_node = topo.node_of(me);
+  const auto& mine = plan.owned(me);
+  LC_CHECK_ARG(local.size() == mine.size(),
+               "exchange_samples needs one contribution per owned sub-domain");
+
+  // Pack into `out` the cells `wanted(sub-domain, cell)` selects, in
+  // (owned sub-domain, cell) order. Unique payload leaving this rank,
+  // under the active codec: raw samples shipped keep counting doubles (the
+  // pre-codec figure), payload_bytes counts actual wire bytes, and their
+  // difference accumulates into bytes_saved (saturating: tiny q16 cells can
+  // cost more than raw). Each buffer counts once; the self buffer never
+  // leaves the rank.
+  ExchangeOutcome outcome;
+  const auto pack = [&](std::vector<double>& out, bool leaves,
+                        const auto& wanted) {
+    comm::WireEncoder enc(plan.codec(), out);
+    for (std::size_t i = 0; i < mine.size(); ++i) {
+      const auto cells = local[i].octree().cells();
+      const auto payload = local[i].samples();
+      for (std::size_t ci = 0; ci < cells.size(); ++ci) {
+        if (!wanted(mine[i], ci)) continue;
+        enc.add_cell(payload.subspan(cells[ci].sample_offset,
+                                     cells[ci].sample_count()));
+      }
+    }
+    enc.finish();
+    if (!leaves) return;
+    const std::size_t wire = out.size() * sizeof(double);
+    samples_shipped.add(enc.raw_bytes() / sizeof(double));
+    payload_bytes.add(wire);
+    bytes_saved.add(enc.raw_bytes() > wire ? enc.raw_bytes() - wire : 0);
+    outcome.max_quant_error =
+        std::max(outcome.max_quant_error, enc.max_abs_error());
+  };
+
+  // The single global exchange of the method (Fig 1b). Destinations are
+  // every rank on the flat route; on the hierarchical one, each node-mate
+  // (self included) plus one bundle per remote node holding every cell any
+  // of its members needs once, so a shared cell crosses the inter-node
+  // link a single time.
+  std::vector<std::vector<double>> direct(
+      static_cast<std::size_t>(rank.size()));
+  std::vector<std::vector<double>> bundles(
+      plan.hierarchical() ? static_cast<std::size_t>(topo.nodes()) : 0);
+  {
+    LC_TRACE("exchange.pack");
+    for (int r = 0; r < rank.size(); ++r) {
+      if (plan.hierarchical() && !topo.same_node(me, r)) continue;
+      pack(direct[static_cast<std::size_t>(r)], r != me,
+           [&](std::size_t d, std::size_t ci) {
+             return plan.needed(d, ci, r);
+           });
+    }
+    for (int n = 0; n < static_cast<int>(bundles.size()); ++n) {
+      if (n == my_node) continue;
+      pack(bundles[static_cast<std::size_t>(n)], true,
+           [&](std::size_t d, std::size_t ci) {
+             return plan.needed_by_node(d, ci, n);
+           });
+    }
+    local.clear();
+    max_quant_error.record_max(outcome.max_quant_error);
+  }
+
+  if (plan.hierarchical()) {
+    LC_TRACE("exchange.hierarchical");
+    const comm::HierarchicalFraming framing{
+        [&plan](int src, int dst) { return plan.pair_doubles(src, dst); },
+        [&plan](int src, int node) { return plan.node_doubles(src, node); },
+        [&plan, my_node](int src, std::span<const double> bundle) {
+          return plan.split_bundle(src, my_node, bundle);
+        }};
+    outcome.incoming = comm::hierarchical_exchange(
+        rank, std::move(direct), std::move(bundles), framing);
+  } else {
+    LC_TRACE("exchange.all_to_all");
+    outcome.incoming = rank.all_to_all(direct);
+  }
+  return outcome;
 }
 
 }  // namespace lc::core

@@ -3,25 +3,29 @@
 // and shared by everything that needs it.
 //
 // Octrees depend only on (grid, policy), so every quantity that frames the
-// exchange — which rank owns which sub-domain, which octree cells each
-// destination needs, and how many wire doubles every source ships to every
-// destination — is deterministic and payload-free. The plan holds them all:
-// the executor (core::distributed_lowcomm_convolve) packs and unpacks from
-// its masks, the size table frames the header-free collectives, and the
-// static traffic mirror and the telemetry predictions replay the same
-// table. A SimCluster keeps the latest plan in its memo slot, so repeated
-// calls on one cluster only move payloads.
+// exchange — which rank owns which sub-domain, which octree cells each rank
+// needs, and how many wire doubles every source ships to every rank and
+// node — is deterministic and payload-free. The plan holds them all: the
+// executor (exchange_samples below) packs, routes and splits from its
+// masks, the size tables frame the header-free collectives, and the static
+// traffic mirror and the telemetry predictions replay the same tables. A
+// SimCluster keeps the latest plan in its memo slot, so repeated calls on
+// one cluster only move payloads.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "comm/cost_model.hpp"
+#include "comm/sim_cluster.hpp"
 #include "comm/topology.hpp"
+#include "comm/wire_codec.hpp"
 #include "core/decomposition.hpp"
+#include "sampling/compressed_field.hpp"
 #include "sampling/octree.hpp"
 
 namespace lc::core {
@@ -32,7 +36,7 @@ struct LowCommParams;
 enum class ExchangeRoute {
   kAuto,          ///< hierarchical on grouped topologies, flat otherwise
   kFlat,          ///< one message per ordered rank pair (Rank::all_to_all)
-  kHierarchical,  ///< node-multicast exchange (comm/hierarchical.hpp)
+  kHierarchical,  ///< node-leader exchange (comm::hierarchical_exchange)
 };
 
 /// kAuto resolved against `topo`: hierarchical iff the topology groups
@@ -40,9 +44,12 @@ enum class ExchangeRoute {
 [[nodiscard]] ExchangeRoute resolve_route(ExchangeRoute route,
                                           const comm::Topology& topo) noexcept;
 
-/// Immutable exchange metadata. Destinations are *groups*: single ranks on
-/// the flat route, nodes on the hierarchical one (a cell is packed once per
-/// group that needs it, and every rank of the group receives it).
+/// Immutable exchange metadata. Cell masks are kept per destination rank;
+/// a node needs a cell when any of its members does. On the flat route
+/// every rank packs one buffer per rank. On the hierarchical route it packs
+/// one buffer per node-mate and one node-deduplicated bundle per remote
+/// node, which that node's leader splits back into per-rank pieces — so
+/// either way every rank receives exactly its own cells.
 class ExchangePlan {
  public:
   /// Source of per-sub-domain octrees: an engine's cached slots, or trees
@@ -57,7 +64,7 @@ class ExchangePlan {
                const OctreeSource& octree_for = {});
 
   /// Static per-level wire traffic of the exchange, from the same builder
-  /// and size table as the plan but without keeping octrees or masks (the
+  /// and size tables as the plan but without keeping octrees or masks (the
   /// planner prices many candidates this way).
   [[nodiscard]] static comm::LevelTraffic mirror(
       const Grid3& grid, const LowCommParams& params, comm::Topology topo,
@@ -73,15 +80,7 @@ class ExchangePlan {
     return decomp_;
   }
   [[nodiscard]] bool hierarchical() const noexcept { return hierarchical_; }
-
-  /// Destination groups: ranks (flat) or nodes (hierarchical).
-  [[nodiscard]] int groups() const noexcept { return groups_; }
-  [[nodiscard]] int group_of(int rank) const {
-    return hierarchical_ ? topo_.node_of(rank) : rank;
-  }
-  [[nodiscard]] std::size_t group_size(int group) const {
-    return hierarchical_ ? topo_.members(group).size() : 1;
-  }
+  [[nodiscard]] comm::WireCodec codec() const noexcept { return codec_; }
 
   /// Sub-domain indices (ascending) owned by `rank`.
   [[nodiscard]] const std::vector<std::size_t>& owned(int rank) const {
@@ -92,20 +91,42 @@ class ExchangePlan {
     return trees_[subdomain];
   }
   /// True iff cell `cell` of sub-domain `subdomain`'s octree overlaps a
-  /// sub-domain owned by a rank of destination group `group`.
+  /// sub-domain owned by `rank`.
   [[nodiscard]] bool needed(std::size_t subdomain, std::size_t cell,
-                            int group) const noexcept {
-    const auto g = static_cast<std::size_t>(group);
-    return (masks_[subdomain][cell * words_ + g / 64] >> (g % 64)) & 1u;
+                            int rank) const noexcept {
+    const auto r = static_cast<std::size_t>(rank);
+    return (masks_[subdomain][cell * words_ + r / 64] >> (r % 64)) & 1u;
   }
-  /// Wire doubles rank `src` ships to destination group `group`: encoded
-  /// bytes of every packed cell, rounded up to whole doubles once per
-  /// bundle (exactly the WireEncoder framing).
-  [[nodiscard]] std::size_t doubles(int src, int group) const noexcept {
-    return doubles_[static_cast<std::size_t>(src) *
-                        static_cast<std::size_t>(groups_) +
-                    static_cast<std::size_t>(group)];
+  /// True iff any member of `node` needs the cell.
+  [[nodiscard]] bool needed_by_node(std::size_t subdomain, std::size_t cell,
+                                    int node) const {
+    for (const int r : topo_.members(node)) {
+      if (needed(subdomain, cell, r)) return true;
+    }
+    return false;
   }
+  /// Wire doubles of rank `src`'s buffer for rank `dst`: encoded bytes of
+  /// every cell dst needs, rounded up to whole doubles once per buffer
+  /// (exactly the WireEncoder framing).
+  [[nodiscard]] std::size_t pair_doubles(int src, int dst) const noexcept {
+    return pair_doubles_[static_cast<std::size_t>(src) *
+                             static_cast<std::size_t>(topo_.ranks()) +
+                         static_cast<std::size_t>(dst)];
+  }
+  /// Wire doubles of rank `src`'s bundle for `node` on the hierarchical
+  /// route: every cell any member needs, once (0 on the flat route).
+  [[nodiscard]] std::size_t node_doubles(int src, int node) const noexcept {
+    return hierarchical_
+               ? node_doubles_[static_cast<std::size_t>(src) *
+                                   static_cast<std::size_t>(topo_.nodes()) +
+                               static_cast<std::size_t>(node)]
+               : 0;
+  }
+  /// Cut `bundle`, rank `src`'s bundle for `node`, into one buffer per
+  /// member of the node (member order) by copying encoded cell bytes:
+  /// buffer i is byte-identical to what src packs for member i directly.
+  [[nodiscard]] std::vector<std::vector<double>> split_bundle(
+      int src, int node, std::span<const double> bundle) const;
   /// Per-level wire bytes and messages of the exchange collective — equal
   /// to the CommStats deltas an executed exchange records.
   [[nodiscard]] const comm::LevelTraffic& traffic() const noexcept {
@@ -123,14 +144,33 @@ class ExchangePlan {
   DomainDecomposition decomp_;
   comm::Topology topo_;
   bool hierarchical_;
-  int groups_;
+  comm::WireCodec codec_;
   std::size_t words_;
   std::vector<std::vector<std::size_t>> owned_;
-  std::vector<int> owner_group_;  // destination group owning sub-domain d
+  std::vector<int> owner_;  // rank owning sub-domain d
   std::vector<std::shared_ptr<const sampling::Octree>> trees_;
   std::vector<std::vector<std::uint64_t>> masks_;  // cells × words_ per tree
-  std::vector<std::size_t> doubles_;               // ranks × groups_
+  std::vector<std::size_t> pair_doubles_;          // ranks × ranks
+  std::vector<std::size_t> node_doubles_;          // ranks × nodes (hier)
   comm::LevelTraffic traffic_;
 };
+
+/// What one rank's side of the exchange produced.
+struct ExchangeOutcome {
+  /// Per source rank, exactly the buffer Rank::all_to_all delivers from it
+  /// on the flat route, whichever route ran (incoming[rank] holds the
+  /// rank's own cells, codec round-tripped like everyone else's).
+  std::vector<std::vector<double>> incoming;
+  /// Largest codec error over the payload this rank sent (0 under kOff).
+  double max_quant_error = 0.0;
+};
+
+/// Run `rank`'s side of the plan's exchange. `local` holds the rank's
+/// contributions, one per plan.owned(rank) in that order; they are packed
+/// and released before the collective runs. Packed payload leaving the
+/// rank feeds the exchange.* registry counters once per buffer.
+[[nodiscard]] ExchangeOutcome exchange_samples(
+    comm::Rank& rank, const ExchangePlan& plan,
+    std::vector<sampling::CompressedField> local);
 
 }  // namespace lc::core

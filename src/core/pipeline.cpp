@@ -4,7 +4,6 @@
 #include <cmath>
 #include <optional>
 
-#include "comm/hierarchical.hpp"
 #include "comm/wire_codec.hpp"
 #include "common/check.hpp"
 #include "common/timer.hpp"
@@ -175,6 +174,15 @@ struct ClusterCounters {
   std::int64_t recv_wait_ns = 0;
 };
 
+/// Lock-free running maximum across rank threads.
+template <class T>
+void raise_to(std::atomic<T>& max, T value) {
+  T cur = max.load(std::memory_order_relaxed);
+  while (cur < value && !max.compare_exchange_weak(
+                            cur, value, std::memory_order_relaxed)) {
+  }
+}
+
 ClusterCounters snapshot_counters(const comm::SimCluster& cluster) {
   const comm::CommStats& s = cluster.stats();
   ClusterCounters c;
@@ -227,6 +235,7 @@ RealField distributed_lowcomm_convolve(
   ClusterCounters before;
   std::atomic<std::int64_t> max_local_convolve_ns{0};
   std::atomic<std::size_t> max_device_peak{0};
+  std::atomic<double> max_quant_error{0.0};
   if (telemetry) {
     rec.source = "pipeline";
     rec.n = grid.nx;
@@ -306,8 +315,7 @@ RealField distributed_lowcomm_convolve(
         static_cast<double>(after.recv_wait_ns - before.recv_wait_ns) * 1e-9;
     rec.meas_memory_peak_b =
         static_cast<std::int64_t>(max_device_peak.load());
-    rec.meas_max_quant_error =
-        obs::Registry::global().gauge("exchange.max_quant_error").value();
+    rec.meas_max_quant_error = max_quant_error.load();
     obs::record_plan_outcome(rec);
   };
 
@@ -337,115 +345,59 @@ RealField distributed_lowcomm_convolve(
         local.push_back(engine.convolve_one(input, d));
       }
       // Telemetry's measured compute is the slowest rank's local-convolve
-      // time — the quantity the compute model predicts (lock-free max).
-      const std::int64_t took = tracer.now_ns() - t0;
-      std::int64_t cur = max_local_convolve_ns.load(std::memory_order_relaxed);
-      while (cur < took && !max_local_convolve_ns.compare_exchange_weak(
-                               cur, took, std::memory_order_relaxed)) {
-      }
+      // time — the quantity the compute model predicts.
+      raise_to(max_local_convolve_ns, tracer.now_ns() - t0);
     }
 
-    static obs::Counter& samples_shipped =
-        obs::Registry::global().counter("exchange.samples_shipped");
-    static obs::Counter& payload_bytes =
-        obs::Registry::global().counter("exchange.payload_bytes");
-    static obs::Counter& bytes_saved =
-        obs::Registry::global().counter("exchange.bytes_saved");
-    static obs::Gauge& max_quant_error =
-        obs::Registry::global().gauge("exchange.max_quant_error");
+    // The single global exchange (Fig 1b): whichever route runs, every
+    // rank receives from each source exactly the cells its own regions
+    // read.
+    ExchangeOutcome exchanged = exchange_samples(rank, plan, std::move(local));
+    raise_to(max_quant_error, exchanged.max_quant_error);
 
-    // The single global exchange of the method (Fig 1b): per destination
-    // group (a rank on the flat route, a node on the hierarchical one),
-    // only the cells whose boxes intersect that group's regions. A cell
-    // several ranks of one node need is packed once for the node, so it
-    // crosses the inter-node link a single time.
-    const int groups = plan.groups();
-    const int my_group = plan.group_of(me);
-    std::vector<std::vector<double>> outgoing(
-        static_cast<std::size_t>(groups));
-    {
-      LC_TRACE("exchange.pack");
-      for (int dst = 0; dst < groups; ++dst) {
-        auto& buf = outgoing[static_cast<std::size_t>(dst)];
-        comm::WireEncoder enc(params.wire, buf);
-        for (std::size_t i = 0; i < mine.size(); ++i) {
-          const auto cells = local[i].octree().cells();
-          const auto payload = local[i].samples();
-          for (std::size_t ci = 0; ci < cells.size(); ++ci) {
-            if (!plan.needed(mine[i], ci, dst)) continue;
-            enc.add_cell(payload.subspan(cells[ci].sample_offset,
-                                         cells[ci].sample_count()));
-          }
-        }
-        enc.finish();
-        // Unique payload leaving this rank, under the active codec: raw
-        // samples shipped keep counting doubles (the pre-codec figure),
-        // payload_bytes counts actual wire bytes, and their difference
-        // accumulates into bytes_saved (saturating: tiny q16 cells can cost
-        // more than raw). Each bundle counts once however many ranks
-        // receive it; the own-group bundle only when group-mates exist.
-        if (dst != my_group || plan.group_size(my_group) > 1) {
-          const std::size_t wire = buf.size() * sizeof(double);
-          samples_shipped.add(enc.raw_bytes() / sizeof(double));
-          payload_bytes.add(wire);
-          bytes_saved.add(enc.raw_bytes() > wire ? enc.raw_bytes() - wire
-                                                 : 0);
-          max_quant_error.record_max(enc.max_abs_error());
-        }
-      }
+    // Streaming unpack: sources in (rank, owned sub-domain) order — the
+    // order accumulate_region would take a full contribution vector in, so
+    // every tile gets the same bits — each decoded into one field (cells
+    // this rank does not read stay zero), added into every owned tile, and
+    // dropped. A received buffer is released once decoded.
+    std::vector<Box3> regions;
+    std::vector<RealField> tiles;
+    regions.reserve(mine.size());
+    tiles.reserve(mine.size());
+    for (const std::size_t d : mine) {
+      regions.push_back(plan.decomposition().subdomain(d));
+      tiles.emplace_back(regions.back().extents(), 0.0);
     }
-    std::vector<std::vector<double>> incoming;
-    if (plan.hierarchical()) {
-      LC_TRACE("exchange.hierarchical");
-      incoming = comm::node_multicast_exchange(
-          rank, outgoing,
-          [&](int src, int node) { return plan.doubles(src, node); });
-    } else {
-      LC_TRACE("exchange.all_to_all");
-      incoming = rank.all_to_all(outgoing);
-    }
-
-    // Rebuild the partial remote contributions: cells not received stay
-    // zero, and so do cells only my node-mates needed on the hierarchical
-    // route — accumulation over my regions never reads either.
-    std::vector<sampling::CompressedField> contributions;
-    contributions.reserve(plan.decomposition().count());
     {
       LC_TRACE("exchange.unpack_accumulate");
       for (int src = 0; src < workers; ++src) {
-        comm::WireDecoder dec(params.wire,
-                              incoming[static_cast<std::size_t>(src)]);
+        auto& buffer = exchanged.incoming[static_cast<std::size_t>(src)];
+        comm::WireDecoder dec(params.wire, buffer);
         for (const std::size_t d : plan.owned(src)) {
           sampling::CompressedField c(plan.octree(d));
-          auto dst_payload = c.samples();
+          const auto payload = c.samples();
           const auto cells = c.octree().cells();
           for (std::size_t ci = 0; ci < cells.size(); ++ci) {
-            if (!plan.needed(d, ci, my_group)) continue;
-            dec.read_cell(dst_payload.subspan(cells[ci].sample_offset,
-                                              cells[ci].sample_count()));
+            if (!plan.needed(d, ci, me)) continue;
+            dec.read_cell(payload.subspan(cells[ci].sample_offset,
+                                          cells[ci].sample_count()));
           }
-          contributions.push_back(std::move(c));
+          accumulate_into(c, regions, tiles, params.interpolation);
         }
         dec.finish();
+        buffer = std::vector<double>();
       }
     }
 
-    // Accumulate the regions this rank owns; stitch into the shared result
-    // (simulating the distributed output staying in place).
-    for (const std::size_t d : mine) {
-      const Box3& box = plan.decomposition().subdomain(d);
-      const RealField tile =
-          accumulate_region(contributions, box, params.interpolation);
+    // Stitch the owned tiles into the shared result (simulating the
+    // distributed output staying in place).
+    {
       std::lock_guard lock(assemble_mutex);
-      assembled.insert(tile, box.lo);
-    }
-    if (telemetry) {
-      const std::size_t peak = rank_device.peak_bytes();
-      std::size_t cur = max_device_peak.load(std::memory_order_relaxed);
-      while (cur < peak && !max_device_peak.compare_exchange_weak(
-                               cur, peak, std::memory_order_relaxed)) {
+      for (std::size_t i = 0; i < tiles.size(); ++i) {
+        assembled.insert(tiles[i], regions[i].lo);
       }
     }
+    if (telemetry) raise_to(max_device_peak, rank_device.peak_bytes());
   };
 
   if (!telemetry) {

@@ -119,11 +119,18 @@ class LowCommConvolution {
 /// a given (grid, sampling params, codec, route) builds it, later calls on
 /// the same cluster reuse it and only move payloads.
 ///
-/// On a grouped topology the default route packs each cell ONCE per
+/// On a grouped topology the default route packs each cell ONCE per remote
 /// destination NODE (the union of its member ranks' needs) and ships it
 /// through the node leaders, so a cell needed by several ranks of a node
-/// crosses the inter-node link once instead of once per rank. The numeric
-/// result is identical to the flat route — only the routing changes.
+/// crosses the inter-node link once instead of once per rank; the
+/// receiving leader then hands each member only its own cells. Either way
+/// every rank receives exactly what the flat route delivers it, and the
+/// numeric result is identical — only the routing changes.
+///
+/// Each rank holds its owned output tiles plus one decoded source field at
+/// a time: received contributions are added into the tiles one by one, in
+/// the (source rank, owned sub-domain) order that keeps the bits of
+/// accumulate_region over the full contribution vector.
 [[nodiscard]] RealField distributed_lowcomm_convolve(
     comm::SimCluster& cluster, const RealField& input, const Grid3& grid,
     std::shared_ptr<const green::KernelSpectrum> kernel,

@@ -6,7 +6,9 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "comm/hierarchical.hpp"
@@ -157,17 +159,69 @@ TEST(SimClusterStress, ThrowingRankReleasesCollectivesAndRecv) {
   }
 }
 
+// Concatenation framing for hierarchical_exchange: rank src's bundle for a
+// node is its pair buffers for that node's members, in member order, and
+// the receiving leader slices it back apart. `fill(src, dst)` is the pair
+// buffer src sends dst.
+template <class Fill>
+std::vector<std::vector<double>> concat_exchange(
+    Rank& rank, const std::function<std::size_t(int, int)>& len,
+    const Fill& fill) {
+  const Topology& topo = rank.topology();
+  const int me = rank.id();
+  const int my_node = topo.node_of(me);
+  std::vector<std::vector<double>> direct(
+      static_cast<std::size_t>(rank.size()));
+  std::vector<std::vector<double>> bundles(
+      static_cast<std::size_t>(topo.nodes()));
+  for (int dst = 0; dst < rank.size(); ++dst) {
+    const auto buf = fill(me, dst);
+    const int node = topo.node_of(dst);
+    if (node == my_node) {
+      direct[static_cast<std::size_t>(dst)] = buf;
+    } else {
+      auto& b = bundles[static_cast<std::size_t>(node)];
+      b.insert(b.end(), buf.begin(), buf.end());
+    }
+  }
+  const auto members = topo.members(my_node);
+  const HierarchicalFraming framing{
+      len,
+      [&topo, &len](int src, int node) {
+        std::size_t doubles = 0;
+        for (const int q : topo.members(node)) doubles += len(src, q);
+        return doubles;
+      },
+      [members, &len](int src, std::span<const double> bundle) {
+        std::vector<std::vector<double>> pieces;
+        std::size_t offset = 0;
+        for (const int q : members) {
+          const auto piece = bundle.subspan(offset, len(src, q));
+          pieces.emplace_back(piece.begin(), piece.end());
+          offset += piece.size();
+        }
+        return pieces;
+      }};
+  return hierarchical_exchange(rank, std::move(direct), std::move(bundles),
+                               framing);
+}
+
 TEST(SimClusterStress, HierarchicalExchangeAbortUnwindsAllRoles) {
-  // The composed node-multicast exchange blocks in recv() at three
-  // different points depending on role (leader gathering, leader awaiting
-  // a remote leader, non-leader awaiting forwards). Whichever role the
-  // throwing rank leaves stranded must unwind with the ORIGINAL error, and
-  // the cluster must stay reusable — the composed collectives inherit the
-  // abort protocol from Rank::recv/barrier with no code of their own.
+  // The composed hierarchical exchange blocks in recv() at three different
+  // points depending on role (leader gathering, leader awaiting a remote
+  // leader, non-leader awaiting its pieces). Whichever role the throwing
+  // rank leaves stranded must unwind with the ORIGINAL error, and the
+  // cluster must stay reusable — the composed collective inherits the
+  // abort protocol from Rank::recv/barrier with no code of its own.
   const Topology topo = Topology::grouped(6, 3);
   SimCluster cluster(topo);
   const std::size_t iters = stress_iters(30);
-  const auto len = [](int, int) { return std::size_t{4}; };
+  const std::function<std::size_t(int, int)> len = [](int, int) {
+    return std::size_t{4};
+  };
+  const auto fill = [](int src, int) {
+    return std::vector<double>(4, static_cast<double>(src));
+  };
   for (std::size_t it = 0; it < iters; ++it) {
     // Rotate the dying rank across roles: leader of node 0, a non-leader,
     // leader of node 1.
@@ -175,10 +229,7 @@ TEST(SimClusterStress, HierarchicalExchangeAbortUnwindsAllRoles) {
     try {
       cluster.run([&](Rank& rank) {
         if (rank.id() == dying) throw std::runtime_error("exchange peer died");
-        std::vector<std::vector<double>> outgoing(
-            static_cast<std::size_t>(topo.nodes()),
-            std::vector<double>(4, static_cast<double>(rank.id())));
-        (void)node_multicast_exchange(rank, outgoing, len);
+        (void)concat_exchange(rank, len, fill);
       });
       FAIL() << "expected the rank error to propagate";
     } catch (const std::runtime_error& e) {
@@ -186,42 +237,38 @@ TEST(SimClusterStress, HierarchicalExchangeAbortUnwindsAllRoles) {
     }
     // Fully usable afterwards, including another hierarchical exchange.
     cluster.run([&](Rank& rank) {
-      std::vector<std::vector<double>> outgoing(
-          static_cast<std::size_t>(topo.nodes()),
-          std::vector<double>(4, 1.0));
-      const auto incoming = node_multicast_exchange(rank, outgoing, len);
+      const auto incoming = concat_exchange(rank, len, fill);
       ASSERT_EQ(incoming.size(), static_cast<std::size_t>(rank.size()));
+      for (int s = 0; s < rank.size(); ++s) {
+        ASSERT_EQ(incoming[static_cast<std::size_t>(s)], fill(s, rank.id()));
+      }
     });
   }
 }
 
-TEST(SimClusterStress, HierarchicalAllToAllSurvivesRepeatedRuns) {
-  // Back-to-back composed all-to-alls with per-iteration payloads: any
-  // channel bleed between iterations (stale bundle left behind by the
-  // leader forwarding loop) shows up as a wrong value immediately.
+TEST(SimClusterStress, HierarchicalExchangeSurvivesRepeatedRuns) {
+  // Back-to-back hierarchical exchanges with per-iteration payloads: any
+  // channel bleed between iterations (a stale piece left behind by the
+  // leader's per-mate sends) shows up as a wrong value immediately.
   const Topology topo = Topology::grouped(8, 4);
-  const int p = topo.ranks();
   SimCluster cluster(topo);
   const std::size_t iters = stress_iters(40);
-  const auto len = [p](int src, int dst) {
+  const std::function<std::size_t(int, int)> len = [](int src, int dst) {
     return static_cast<std::size_t>((src + dst) % 3 + 1);
   };
   cluster.run([&](Rank& rank) {
     for (std::size_t it = 0; it < iters; ++it) {
-      std::vector<std::vector<double>> outgoing(static_cast<std::size_t>(p));
-      for (int d = 0; d < p; ++d) {
-        outgoing[static_cast<std::size_t>(d)].assign(
-            len(rank.id(), d),
-            static_cast<double>(it * 10000 + rank.id() * 100 + d));
-      }
-      const auto incoming = hierarchical_all_to_all(rank, outgoing, len);
-      for (int s = 0; s < p; ++s) {
+      const auto value = [it](int src, int dst) {
+        return static_cast<double>(it * 10000 + src * 100 + dst);
+      };
+      const auto incoming =
+          concat_exchange(rank, len, [&](int src, int dst) {
+            return std::vector<double>(len(src, dst), value(src, dst));
+          });
+      for (int s = 0; s < rank.size(); ++s) {
         const auto& b = incoming[static_cast<std::size_t>(s)];
         ASSERT_EQ(b.size(), len(s, rank.id()));
-        for (const double v : b) {
-          ASSERT_EQ(v,
-                    static_cast<double>(it * 10000 + s * 100 + rank.id()));
-        }
+        for (const double v : b) ASSERT_EQ(v, value(s, rank.id()));
       }
     }
   });

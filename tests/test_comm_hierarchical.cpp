@@ -1,13 +1,15 @@
 // Tests for the topology-aware hierarchical exchange (ROADMAP item 1):
-// node grouping, the composed node-multicast / all-to-all collectives, the
+// node grouping, the composed hierarchical exchange collective, the
 // per-level byte accounting, and the pipeline route equivalence (the
-// hierarchical route must reproduce the flat exchange's result exactly —
-// only the routing may change).
+// hierarchical route must reproduce the flat exchange's buffers and result
+// exactly — only the routing may change).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <functional>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -73,46 +75,117 @@ TEST(Topology, RejectsBadShapes) {
   EXPECT_THROW(Topology::grouped(2, 4), InvalidArgument);
 }
 
-// Deterministic payload for (src rank, dst node, slot): both sides of every
-// test below agree on it without communicating.
-double bundle_value(int src, int dst_node, std::size_t j) {
-  return 1000.0 * src + 10.0 * dst_node + static_cast<double>(j);
-}
+// A synthetic payload framed the way the pipeline frames octree cells, so
+// both sides of every test below agree on it without communicating. Rank
+// src's bundle for a remote node holds bundle_len(src, node) values, and
+// the member at index i of that node needs value j iff (j + i) % 3 != 2:
+// members share most of a bundle, as cells straddling several ranks'
+// regions do. Its buffer for a node-mate is a short run of its own.
+struct SyntheticExchange {
+  Topology topo;
 
-std::size_t bundle_len(int src, int dst_node, int nodes) {
-  return static_cast<std::size_t>(src + dst_node * nodes + 1);
-}
-
-TEST(HierarchicalComm, NodeMulticastDeliversEverySourceBundle) {
-  const Topology topo = Topology::grouped(6, 2);
-  const int nodes = topo.nodes();
-  SimCluster cluster(topo);
-  cluster.run([&](Rank& rank) {
-    const int me = rank.id();
-    std::vector<std::vector<double>> outgoing(
-        static_cast<std::size_t>(nodes));
-    for (int d = 0; d < nodes; ++d) {
-      auto& b = outgoing[static_cast<std::size_t>(d)];
-      b.resize(bundle_len(me, d, nodes));
-      for (std::size_t j = 0; j < b.size(); ++j) b[j] = bundle_value(me, d, j);
+  static double value(int src, int slot, std::size_t j) {
+    return 1000.0 * src + 10.0 * slot + static_cast<double>(j);
+  }
+  static bool wants(std::size_t member, std::size_t j) {
+    return (j + member) % 3 != 2;
+  }
+  static std::vector<double> cut(std::span<const double> bundle,
+                                 std::size_t member) {
+    std::vector<double> piece;
+    for (std::size_t j = 0; j < bundle.size(); ++j) {
+      if (wants(member, j)) piece.push_back(bundle[j]);
     }
-    const auto incoming = node_multicast_exchange(
-        rank, outgoing,
-        [&](int src, int dst_node) { return bundle_len(src, dst_node, nodes); });
+    return piece;
+  }
 
-    // EVERY rank receives EVERY source's bundle for its own node — that is
-    // the node-multicast contract (each receiver filters what it needs).
-    const int my_node = rank.topology().node_of(me);
-    ASSERT_EQ(incoming.size(), static_cast<std::size_t>(rank.size()));
-    for (int src = 0; src < rank.size(); ++src) {
-      const auto& b = incoming[static_cast<std::size_t>(src)];
-      ASSERT_EQ(b.size(), bundle_len(src, my_node, nodes))
-          << "src=" << src << " me=" << me;
+  std::size_t bundle_len(int src, int node) const {
+    return static_cast<std::size_t>(src + node * topo.nodes() + 1);
+  }
+  std::vector<double> bundle(int src, int node) const {
+    std::vector<double> b(bundle_len(src, node));
+    for (std::size_t j = 0; j < b.size(); ++j) b[j] = value(src, node, j);
+    return b;
+  }
+  /// The buffer Rank::all_to_all would carry from src to dst.
+  std::vector<double> pair(int src, int dst) const {
+    if (topo.same_node(src, dst)) {
+      std::vector<double> b(static_cast<std::size_t>((src + dst) % 4 + 1));
       for (std::size_t j = 0; j < b.size(); ++j) {
-        EXPECT_EQ(b[j], bundle_value(src, my_node, j));
+        b[j] = value(src, 100 + dst, j);
+      }
+      return b;
+    }
+    const int node = topo.node_of(dst);
+    return cut(bundle(src, node),
+               static_cast<std::size_t>(dst - topo.leader_of(node)));
+  }
+
+  /// Rank `me`'s framing; `pair_len` / `node_len` default to the truth.
+  HierarchicalFraming framing(
+      int me, std::function<std::size_t(int, int)> pair_len = {},
+      std::function<std::size_t(int, int)> node_len = {}) const {
+    if (!pair_len) {
+      pair_len = [this](int s, int d) { return pair(s, d).size(); };
+    }
+    if (!node_len) {
+      node_len = [this](int s, int n) { return bundle_len(s, n); };
+    }
+    const std::size_t members = topo.members(topo.node_of(me)).size();
+    return {pair_len, node_len,
+            [members](int, std::span<const double> b) {
+              std::vector<std::vector<double>> pieces;
+              for (std::size_t i = 0; i < members; ++i) {
+                pieces.push_back(cut(b, i));
+              }
+              return pieces;
+            }};
+  }
+
+  /// Run `rank`'s side with its true outgoing payloads.
+  std::vector<std::vector<double>> exchange(
+      Rank& rank, const HierarchicalFraming& framing) const {
+    const int me = rank.id();
+    std::vector<std::vector<double>> direct(
+        static_cast<std::size_t>(topo.ranks()));
+    for (const int q : topo.members(topo.node_of(me))) {
+      direct[static_cast<std::size_t>(q)] = pair(me, q);
+    }
+    std::vector<std::vector<double>> bundles(
+        static_cast<std::size_t>(topo.nodes()));
+    for (int n = 0; n < topo.nodes(); ++n) {
+      if (n != topo.node_of(me)) {
+        bundles[static_cast<std::size_t>(n)] = bundle(me, n);
       }
     }
+    return hierarchical_exchange(rank, std::move(direct), std::move(bundles),
+                                 framing);
+  }
+
+  /// How many sources' buffers differ from the flat exchange's.
+  int misdelivered(int me,
+                   const std::vector<std::vector<double>>& incoming) const {
+    int wrong = 0;
+    for (int src = 0; src < topo.ranks(); ++src) {
+      if (incoming[static_cast<std::size_t>(src)] != pair(src, me)) ++wrong;
+    }
+    return wrong;
+  }
+};
+
+TEST(HierarchicalComm, EveryRankReceivesItsFlatBufferFromEverySource) {
+  // The contract: whatever the routing, rank me receives from every source
+  // exactly the buffer the flat all_to_all would carry — its own cells of
+  // each deduplicated bundle, not the whole bundle.
+  const SyntheticExchange x{Topology::grouped(6, 2)};
+  SimCluster cluster(x.topo);
+  std::atomic<int> wrong{0};
+  cluster.run([&](Rank& rank) {
+    const auto incoming = x.exchange(rank, x.framing(rank.id()));
+    ASSERT_EQ(incoming.size(), static_cast<std::size_t>(rank.size()));
+    wrong += x.misdelivered(rank.id(), incoming);
   });
+  EXPECT_EQ(wrong.load(), 0);
   EXPECT_EQ(cluster.stats().collective_rounds.load(), 1u);
 }
 
@@ -120,95 +193,58 @@ TEST(HierarchicalComm, FlatTopologyDegeneratesToPersonalisedExchange) {
   // On a flat topology "node" == "rank": the collective must behave exactly
   // like a personalised all-to-all, one message per ordered pair.
   const int p = 4;
-  SimCluster cluster(Topology::flat(p));
+  const SyntheticExchange x{Topology::flat(p)};
+  SimCluster cluster(x.topo);
+  std::atomic<int> wrong{0};
   cluster.run([&](Rank& rank) {
-    const int me = rank.id();
-    std::vector<std::vector<double>> outgoing(static_cast<std::size_t>(p));
-    for (int d = 0; d < p; ++d) {
-      outgoing[static_cast<std::size_t>(d)] = {
-          static_cast<double>(me * 100 + d)};
-    }
-    const auto incoming = node_multicast_exchange(
-        rank, outgoing, [](int, int) { return std::size_t{1}; });
-    for (int s = 0; s < p; ++s) {
-      EXPECT_EQ(incoming[static_cast<std::size_t>(s)].at(0),
-                static_cast<double>(s * 100 + me));
-    }
+    wrong += x.misdelivered(rank.id(),
+                            x.exchange(rank, x.framing(rank.id())));
   });
+  EXPECT_EQ(wrong.load(), 0);
   EXPECT_EQ(cluster.stats().messages.load(),
             static_cast<std::size_t>(p * (p - 1)));
   EXPECT_EQ(cluster.stats().intra_bytes_sent.load(), 0u);
 }
 
-TEST(HierarchicalComm, AllToAllMatchesBuiltinExactly) {
-  const Topology topo = Topology::grouped(6, 3);
-  const int p = topo.ranks();
-  const auto pair_len = [p](int src, int dst) {
-    return static_cast<std::size_t>((src * p + dst) % 5 + 1);
-  };
-  SimCluster cluster(topo);
-  cluster.run([&](Rank& rank) {
-    const int me = rank.id();
-    std::vector<std::vector<double>> outgoing(static_cast<std::size_t>(p));
-    for (int d = 0; d < p; ++d) {
-      auto& b = outgoing[static_cast<std::size_t>(d)];
-      b.resize(pair_len(me, d));
-      for (std::size_t j = 0; j < b.size(); ++j) {
-        b[j] = bundle_value(me, d, j);
-      }
-    }
-    const auto via_hier = hierarchical_all_to_all(rank, outgoing, pair_len);
-    const auto via_flat = rank.all_to_all(outgoing);
-    ASSERT_EQ(via_hier.size(), via_flat.size());
-    for (std::size_t s = 0; s < via_flat.size(); ++s) {
-      EXPECT_EQ(via_hier[s], via_flat[s]) << "source " << s;
-    }
-  });
-}
-
 TEST(HierarchicalComm, PerLevelByteAccountingIsExact) {
   // Replay the schedule by hand for a 2-node/4-rank cluster with known
-  // bundle sizes and demand the cluster's per-level counters match to the
-  // byte: own-node multicast + non-leader gather + one inter message per
-  // ordered node pair + leader redistribution.
-  const Topology topo = Topology::grouped(4, 2);
+  // buffer sizes and demand the cluster's per-level counters match to the
+  // byte: direct own-node buffers + non-leader gather + one inter message
+  // per ordered node pair + one message per (source node, mate) holding
+  // only that mate's pieces.
+  const SyntheticExchange x{Topology::grouped(4, 2)};
+  const Topology& topo = x.topo;
   const int nodes = topo.nodes();
-  const auto len = [nodes](int src, int dst_node) {
-    return bundle_len(src, dst_node, nodes);
-  };
   SimCluster cluster(topo);
   cluster.run([&](Rank& rank) {
-    const int me = rank.id();
-    std::vector<std::vector<double>> outgoing(
-        static_cast<std::size_t>(nodes));
-    for (int d = 0; d < nodes; ++d) {
-      outgoing[static_cast<std::size_t>(d)].assign(len(me, d), 1.0);
-    }
-    (void)node_multicast_exchange(rank, outgoing, len);
+    (void)x.exchange(rank, x.framing(rank.id()));
   });
 
   std::size_t intra = 0, inter = 0, intra_msgs = 0, inter_msgs = 0;
   for (int me = 0; me < topo.ranks(); ++me) {
     const int my_node = topo.node_of(me);
     const auto members = topo.members(my_node);
-    const std::size_t peers = members.size() - 1;
-    intra += peers * len(me, my_node);  // own-node multicast
-    intra_msgs += peers;
+    for (const int q : members) {  // direct own-node buffers
+      if (q == me) continue;
+      intra += x.pair(me, q).size();
+      intra_msgs += 1;
+    }
     if (!topo.is_leader(me)) {  // gather to leader
       for (int d = 0; d < nodes; ++d) {
-        if (d != my_node) intra += len(me, d);
+        if (d != my_node) intra += x.bundle_len(me, d);
       }
       intra_msgs += 1;
       continue;
     }
-    for (int d = 0; d < nodes; ++d) {  // leader: inter + redistribution
+    for (int d = 0; d < nodes; ++d) {  // leader: inter + per-mate pieces
       if (d == my_node) continue;
-      for (const int q : members) inter += len(q, d);
+      for (const int q : members) inter += x.bundle_len(q, d);
       inter_msgs += 1;
-      std::size_t inbound = 0;
-      for (const int q : topo.members(d)) inbound += len(q, my_node);
-      intra += peers * inbound;
-      intra_msgs += peers;
+      for (const int q : members) {
+        if (q == me) continue;
+        for (const int src : topo.members(d)) intra += x.pair(src, q).size();
+        intra_msgs += 1;
+      }
     }
   }
   const auto& s = cluster.stats();
@@ -226,87 +262,103 @@ TEST(HierarchicalComm, OracleMismatchThrows) {
   SimCluster cluster(topo);
   EXPECT_THROW(
       cluster.run([&](Rank& rank) {
-        std::vector<std::vector<double>> outgoing(
-            static_cast<std::size_t>(topo.nodes()),
-            std::vector<double>(3, 0.0));
-        // Oracle disagrees with the actual bundle sizes.
-        (void)node_multicast_exchange(rank, outgoing,
-                                      [](int, int) { return std::size_t{2}; });
+        std::vector<std::vector<double>> direct(
+            static_cast<std::size_t>(topo.ranks()));
+        for (const int q : topo.members(topo.node_of(rank.id()))) {
+          direct[static_cast<std::size_t>(q)].assign(3, 0.0);
+        }
+        std::vector<std::vector<double>> bundles(
+            static_cast<std::size_t>(topo.nodes()));
+        bundles[static_cast<std::size_t>(1 - topo.node_of(rank.id()))]
+            .assign(3, 0.0);
+        // Oracles disagree with the actual buffer sizes.
+        const HierarchicalFraming framing{
+            [](int, int) { return std::size_t{2}; },
+            [](int, int) { return std::size_t{2}; },
+            [](int, std::span<const double>) {
+              return std::vector<std::vector<double>>{};
+            }};
+        (void)hierarchical_exchange(rank, std::move(direct),
+                                    std::move(bundles), framing);
       }),
       InvalidArgument);
 }
 
 TEST(HierarchicalComm, OracleDisagreementThrowsOrDeliversSentBundles) {
-  // One rank's size oracle disagrees with every other rank's for one
-  // (source, node) pair, one double shorter or longer. Over all choices the
+  // One rank's size oracle disagrees with every other rank's for one node
+  // bundle size or one rank-pair size (own-node buffers and forwarded
+  // pieces alike), one double shorter or longer. Over all choices the
   // perturbing rank takes every role in turn — the source itself, the
-  // gathering leader, the receiving leader, a forwarded-to peer, a
+  // gathering leader, the splitting leader, a piece's receiver, a
   // bystander — and the exchange must either throw or hand every rank
-  // exactly the bundles that were sent: never mis-framed data, never a
+  // exactly its flat-exchange buffers: never mis-framed data, never a
   // hang. The cluster must still run a correct exchange afterwards.
-  const Topology topo = Topology::grouped(6, 3);
-  const int nodes = topo.nodes();
-  SimCluster cluster(topo);
-  // Ships the true bundles; `believed(me, src, node)` is the size rank `me`
-  // expects from src for node. Returns how many received bundles differ
-  // from what was sent.
-  const auto exchange = [&](const auto& believed) {
+  const SyntheticExchange x{Topology::grouped(6, 3)};
+  const int ranks = x.topo.ranks();
+  SimCluster cluster(x.topo);
+  // Ships the true payloads; rank `perturber` believes `pair_len` and
+  // `node_len`. Returns how many received buffers differ from the flat
+  // exchange's.
+  const auto exchange = [&](int perturber, const auto& pair_len,
+                            const auto& node_len) {
     std::atomic<int> misframed{0};
     cluster.run([&](Rank& rank) {
       const int me = rank.id();
-      std::vector<std::vector<double>> outgoing(
-          static_cast<std::size_t>(nodes));
-      for (int d = 0; d < nodes; ++d) {
-        auto& b = outgoing[static_cast<std::size_t>(d)];
-        b.resize(bundle_len(me, d, nodes));
-        for (std::size_t j = 0; j < b.size(); ++j) b[j] = bundle_value(me, d, j);
-      }
-      const auto incoming = node_multicast_exchange(
-          rank, outgoing,
-          [&](int src, int dst_node) { return believed(me, src, dst_node); });
-      const int my_node = rank.topology().node_of(me);
-      for (int src = 0; src < rank.size(); ++src) {
-        std::vector<double> sent(bundle_len(src, my_node, nodes));
-        for (std::size_t j = 0; j < sent.size(); ++j) {
-          sent[j] = bundle_value(src, my_node, j);
-        }
-        if (incoming[static_cast<std::size_t>(src)] != sent) {
-          misframed.fetch_add(1);
-        }
-      }
+      const auto framing = me == perturber
+                               ? x.framing(me, pair_len, node_len)
+                               : x.framing(me);
+      misframed += x.misdelivered(me, x.exchange(rank, framing));
     });
     return misframed.load();
   };
 
   int threw = 0;
   int delivered = 0;
-  for (int perturber = 0; perturber < topo.ranks(); ++perturber) {
-    for (int src = 0; src < topo.ranks(); ++src) {
-      for (int node = 0; node < nodes; ++node) {
-        for (const int delta : {-1, 1}) {
-          const auto believed = [&](int me, int s, int d) {
-            const std::size_t len = bundle_len(s, d, nodes);
-            if (me != perturber || s != src || d != node) return len;
-            return delta < 0 ? len - 1 : len + 1;
-          };
-          try {
-            EXPECT_EQ(exchange(believed), 0)
-                << "rank " << perturber << " mis-sizes (" << src << ", "
-                << node << ") by " << delta;
-            ++delivered;
-          } catch (const Error&) {
-            ++threw;
-          }
+  const auto attempt = [&](int perturber, const auto& pair_len,
+                           const auto& node_len, const std::string& what) {
+    try {
+      EXPECT_EQ(exchange(perturber, pair_len, node_len), 0) << what;
+      ++delivered;
+    } catch (const Error&) {
+      ++threw;
+    }
+  };
+  const auto nudge = [](std::size_t len, int delta) {
+    return delta < 0 ? len - 1 : len + 1;
+  };
+  const auto true_pair = [&](int s, int d) { return x.pair(s, d).size(); };
+  const auto true_node = [&](int s, int n) { return x.bundle_len(s, n); };
+  for (int perturber = 0; perturber < ranks; ++perturber) {
+    for (int src = 0; src < ranks; ++src) {
+      for (const int delta : {-1, 1}) {
+        for (int node = 0; node < x.topo.nodes(); ++node) {
+          attempt(perturber, true_pair,
+                  [&](int s, int n) {
+                    const std::size_t len = true_node(s, n);
+                    return s == src && n == node ? nudge(len, delta) : len;
+                  },
+                  "rank " + std::to_string(perturber) + " mis-sizes bundle (" +
+                      std::to_string(src) + ", node " + std::to_string(node) +
+                      ") by " + std::to_string(delta));
+        }
+        for (int dst = 0; dst < ranks; ++dst) {
+          if (delta < 0 && true_pair(src, dst) == 0) continue;
+          attempt(perturber,
+                  [&](int s, int d) {
+                    const std::size_t len = true_pair(s, d);
+                    return s == src && d == dst ? nudge(len, delta) : len;
+                  },
+                  true_node,
+                  "rank " + std::to_string(perturber) + " mis-sizes pair (" +
+                      std::to_string(src) + ", " + std::to_string(dst) +
+                      ") by " + std::to_string(delta));
         }
       }
     }
   }
   EXPECT_GT(threw, 0);
   EXPECT_GT(delivered, 0);
-  EXPECT_EQ(exchange([nodes](int, int s, int d) {
-              return bundle_len(s, d, nodes);
-            }),
-            0);
+  EXPECT_EQ(exchange(-1, true_pair, true_node), 0);
 }
 
 class LowCommPipelineHierarchical : public ::testing::Test {
@@ -438,6 +490,81 @@ TEST_F(LowCommPipelineHierarchical, GroupedRouteCutsInterNodeBytes) {
   // nothing about the hierarchical intra level, but the inter level can
   // only shrink (never grow) under node-union packing.
   EXPECT_LE(hier.inter_bytes, flat.inter_bytes);
+}
+
+TEST_F(LowCommPipelineHierarchical, ScheduleSweepMatchesFlatRouteAndMirror) {
+  // Across node shapes — even nodes, a remainder node (5 ranks in nodes of
+  // 2), one-member nodes (a flat topology with the hierarchical route
+  // forced) — × codec × rate schedule: both routes' executed per-level
+  // CommStats equal the static mirror, the hierarchical route hands every
+  // rank each source's buffer byte-identical to the flat all_to_all, and
+  // the two outputs are bit-identical.
+  const Grid3 g = Grid3::cube(32);
+  const auto kernel = std::make_shared<green::GaussianSpectrum>(g, 2.0);
+  const RealField input = random_field(g, 31);
+  const core::ExchangeRoute routes[] = {core::ExchangeRoute::kFlat,
+                                        core::ExchangeRoute::kHierarchical};
+  for (const Topology& topo :
+       {Topology::grouped(4, 2), Topology::grouped(6, 3),
+        Topology::grouped(8, 4), Topology::grouped(5, 2), Topology::flat(3)}) {
+    for (const WireCodec codec : {WireCodec::kOff, WireCodec::kQ16}) {
+      for (const bool uniform : {false, true}) {
+        auto p = params(16, 2);
+        if (!uniform) p.uniform_rate.reset();
+        p.wire = codec;
+        const std::string what =
+            std::to_string(topo.ranks()) + " ranks on " +
+            std::to_string(topo.nodes()) + " nodes, " + codec_name(codec) +
+            (uniform ? " uniform" : " banded");
+
+        std::vector<RealField> outputs;
+        for (const auto route : routes) {
+          SimCluster cluster(topo);
+          outputs.push_back(core::distributed_lowcomm_convolve(
+              cluster, input, g, kernel, p, route));
+          const LevelTraffic got = cluster.stats().level_traffic();
+          const LevelTraffic want =
+              core::ExchangePlan::mirror(g, p, topo, route);
+          EXPECT_EQ(got.intra_bytes, want.intra_bytes) << what;
+          EXPECT_EQ(got.inter_bytes, want.inter_bytes) << what;
+          EXPECT_EQ(got.intra_messages, want.intra_messages) << what;
+          EXPECT_EQ(got.inter_messages, want.inter_messages) << what;
+        }
+        expect_bit_equal(outputs[0], outputs[1], what);
+
+        // The exchange alone, both routes on the same local contributions.
+        const core::ExchangePlan flat_plan(g, p, topo, routes[0]);
+        const core::ExchangePlan hier_plan(g, p, topo, routes[1]);
+        const core::LowCommConvolution engine(g, kernel, p);
+        std::vector<sampling::CompressedField> fields;
+        for (std::size_t d = 0; d < engine.decomposition().count(); ++d) {
+          fields.push_back(engine.convolve_one(input, d));
+        }
+        std::atomic<int> differing{0};
+        SimCluster cluster(topo);
+        cluster.run([&](Rank& rank) {
+          std::vector<sampling::CompressedField> local;
+          for (const std::size_t d : flat_plan.owned(rank.id())) {
+            local.push_back(fields[d]);
+          }
+          const auto flat =
+              core::exchange_samples(rank, flat_plan, local).incoming;
+          const auto hier =
+              core::exchange_samples(rank, hier_plan, std::move(local))
+                  .incoming;
+          for (std::size_t src = 0; src < flat.size(); ++src) {
+            const bool same =
+                flat[src].size() == hier[src].size() &&
+                (flat[src].empty() ||
+                 std::memcmp(flat[src].data(), hier[src].data(),
+                             flat[src].size() * sizeof(double)) == 0);
+            if (!same) ++differing;
+          }
+        });
+        EXPECT_EQ(differing.load(), 0) << what;
+      }
+    }
+  }
 }
 
 // Wire-codec behaviour of the full distributed pipeline (DESIGN.md §17):

@@ -531,6 +531,80 @@ TEST(LowCommPipeline, DistributedExchangesOnlyCompressedBytes) {
   EXPECT_LE(cluster.stats().bytes_sent.load(), full_payload_bytes);
 }
 
+// The streaming unpack's order, pinned bit for bit: every owned tile must
+// equal accumulate_region over fully materialised, codec-round-tripped
+// contributions taken in (source rank, owned sub-domain) order — and so
+// must accumulate_into fed that vector one contribution at a time.
+TEST(LowCommPipeline, StreamingUnpackMatchesMaterialisedAccumulation) {
+  const Grid3 g = Grid3::cube(32);
+  auto kernel = std::make_shared<green::GaussianSpectrum>(g, 2.0);
+  const RealField input = random_field(g, 27);
+  const comm::Topology topo = comm::Topology::grouped(6, 3);
+
+  for (const comm::WireCodec codec :
+       {comm::WireCodec::kOff, comm::WireCodec::kQ16}) {
+    LowCommParams params;
+    params.subdomain = 8;
+    params.far_rate = 4;
+    params.batch = 256;
+    params.wire = codec;
+    const LowCommConvolution engine(g, kernel, params);
+    const DomainDecomposition& decomp = engine.decomposition();
+
+    std::vector<sampling::CompressedField> ordered;
+    for (int src = 0; src < topo.ranks(); ++src) {
+      for (const std::size_t d : decomp.assigned_to(src, topo.ranks())) {
+        const sampling::CompressedField c = engine.convolve_one(input, d);
+        std::vector<double> wire;
+        comm::WireEncoder enc(codec, wire);
+        for (const auto& cell : c.octree().cells()) {
+          enc.add_cell(
+              c.samples().subspan(cell.sample_offset, cell.sample_count()));
+        }
+        enc.finish();
+        sampling::CompressedField back(c.octree_ptr());
+        comm::WireDecoder dec(codec, wire);
+        for (const auto& cell : back.octree().cells()) {
+          dec.read_cell(
+              back.samples().subspan(cell.sample_offset, cell.sample_count()));
+        }
+        dec.finish();
+        ordered.push_back(std::move(back));
+      }
+    }
+
+    RealField want(g, 0.0);
+    std::vector<Box3> regions;
+    std::vector<RealField> tiles;
+    for (std::size_t d = 0; d < decomp.count(); ++d) {
+      const Box3& box = decomp.subdomain(d);
+      want.insert(accumulate_region(ordered, box), box.lo);
+      regions.push_back(box);
+      tiles.emplace_back(box.extents(), 0.0);
+    }
+    for (const auto& c : ordered) accumulate_into(c, regions, tiles);
+    RealField streamed(g, 0.0);
+    for (std::size_t i = 0; i < tiles.size(); ++i) {
+      streamed.insert(tiles[i], regions[i].lo);
+    }
+
+    for (const ExchangeRoute route :
+         {ExchangeRoute::kFlat, ExchangeRoute::kHierarchical}) {
+      comm::SimCluster cluster(topo);
+      const RealField got = distributed_lowcomm_convolve(cluster, input, g,
+                                                         kernel, params, route);
+      for (std::size_t i = 0; i < want.span().size(); ++i) {
+        ASSERT_EQ(want.span()[i], streamed.span()[i])
+            << comm::codec_name(codec) << " at " << i;
+        ASSERT_EQ(want.span()[i], got.span()[i])
+            << comm::codec_name(codec)
+            << (route == ExchangeRoute::kFlat ? " flat" : " hier") << " at "
+            << i;
+      }
+    }
+  }
+}
+
 // --- Hyperparameters --------------------------------------------------------
 
 TEST(Hyperparams, BatchRecommendationClampsAndGrows) {

@@ -813,6 +813,39 @@ TEST(ObsTelemetry, DistributedConvolveEmitsOnePlanOutcome) {
   EXPECT_EQ(second.pred_bytes, second.meas_bytes);
 }
 
+TEST(ObsTelemetry, MaxQuantErrorIsMeasuredPerCall) {
+  // Each record carries its own call's codec error: an off-codec call after
+  // a q16 call on the same cluster records exactly 0, although the
+  // process-wide exchange.max_quant_error gauge still holds the q16 value.
+  const std::string path =
+      testing::TempDir() + "lc_obs_telemetry_quant_error.jsonl";
+  ScopedTelemetryPath scoped(path);
+
+  const Grid3 grid = Grid3::cube(32);
+  const auto kernel = std::make_shared<green::GaussianSpectrum>(grid, 2.0);
+  RealField input(grid);
+  SplitMix64 rng(16);
+  for (auto& v : input.span()) v = rng.uniform(-1.0, 1.0);
+
+  comm::SimCluster cluster(2);
+  auto params = uniform_params(16, 2);
+  params.wire = comm::WireCodec::kQ16;
+  (void)core::distributed_lowcomm_convolve(cluster, input, grid, kernel,
+                                           params);
+  params.wire = comm::WireCodec::kOff;
+  (void)core::distributed_lowcomm_convolve(cluster, input, grid, kernel,
+                                           params);
+
+  const auto records = obs::read_plan_outcomes(path);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].wire, "q16");
+  EXPECT_GT(records[0].meas_max_quant_error, 0.0);
+  EXPECT_EQ(records[1].wire, "off");
+  EXPECT_EQ(records[1].meas_max_quant_error, 0.0);
+  EXPECT_GT(obs::Registry::global().gauge("exchange.max_quant_error").value(),
+            0.0);
+}
+
 TEST(ObsService, DriftStatsPairPredictedWithMeasuredSeconds) {
   ScopedTelemetryPath scoped("");  // keep this test off any ambient sink
   runtime::ConvolutionService service;

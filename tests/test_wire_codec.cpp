@@ -242,6 +242,45 @@ TEST(WireCodec, FramingViolationsThrow) {
   }
 }
 
+TEST(WireCodec, EncodedCellPassthroughIsByteExact) {
+  // Forwarding a subset of a bundle's cells through read_encoded_cell /
+  // add_encoded_cell must give the bytes a direct encode of that subset
+  // gives — padding included, no re-quantisation — under every codec.
+  std::vector<std::vector<double>> cells;
+  for (std::size_t i = 0; i < 7; ++i) {
+    cells.push_back(random_samples(3 + 5 * i, 40 + i, -50.0, 50.0));
+  }
+  const auto keep = [](std::size_t i) { return i % 3 != 1; };
+  for (const WireCodec codec : kAllWireCodecs) {
+    std::vector<double> bundle;
+    std::vector<double> direct;
+    WireEncoder all(codec, bundle);
+    WireEncoder subset(codec, direct);
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      all.add_cell(cells[i]);
+      if (keep(i)) subset.add_cell(cells[i]);
+    }
+    all.finish();
+    subset.finish();
+
+    std::vector<double> forwarded;
+    WireEncoder fwd(codec, forwarded);
+    WireDecoder dec(codec, bundle);
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      const auto encoded = dec.read_encoded_cell(cells[i].size());
+      EXPECT_EQ(encoded.size(), encoded_cell_bytes(codec, cells[i].size()));
+      if (keep(i)) fwd.add_encoded_cell(encoded);
+    }
+    dec.finish();
+    fwd.finish();
+    ASSERT_EQ(forwarded.size(), direct.size()) << codec_name(codec);
+    EXPECT_EQ(std::memcmp(forwarded.data(), direct.data(),
+                          direct.size() * sizeof(double)),
+              0)
+        << codec_name(codec);
+  }
+}
+
 TEST(WireCodec, VectorRowsBitEqualScalarReference) {
   // The dispatching rows must produce bit-identical results to the scalar
   // reference algorithms on every input class (normals, subnormal-bound
