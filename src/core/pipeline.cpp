@@ -90,46 +90,143 @@ sampling::CompressedField LowCommConvolution::convolve_one(
 LowCommResult LowCommConvolution::convolve(const RealField& input) const {
   LC_TRACE("pipeline.convolve");
   ScopedTimer convolve_timer(PipelineMetrics::get().convolve_seconds);
-  const std::size_t count = decomp_.count();
-  ThreadPool* pool = convolver_.config().pool;
-  std::vector<std::optional<sampling::CompressedField>> slots(count);
-  auto run = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t d = lo; d < hi; ++d) {
-      slots[d].emplace(convolve_one(input, d));
+  LocalJob job;
+  job.engine = this;
+  job.input = &input;
+  LocalJob* const one = &job;
+  run_local({&one, 1}, convolver_.config().pool);
+  if (job.error != nullptr) std::rethrow_exception(job.error);
+  PipelineMetrics& metrics = PipelineMetrics::get();
+  metrics.subdomains.add(decomp_.count());
+  metrics.compressed_samples.add(job.result.compressed_samples);
+  metrics.exchanged_bytes.add(job.result.exchanged_bytes);
+  return std::move(job.result);
+}
+
+namespace {
+
+// One wave: body(i) for every i in [0, count), as a parallel_for on `pool`
+// when it can run one, else serially on this thread. A convolve task on a
+// pool worker runs its engine's local FFT stages serially (the convolver
+// detects the worker thread), so each worker owns one sub-domain end to
+// end.
+void run_wave(ThreadPool* pool, std::size_t count,
+              const std::function<void(std::size_t)>& body) {
+  if (pool != nullptr && pool->size() > 1 && count > 1 &&
+      !pool->on_worker_thread()) {
+    pool->parallel_for(0, count, body);
+  } else {
+    for (std::size_t i = 0; i < count; ++i) body(i);
+  }
+}
+
+}  // namespace
+
+void run_local(std::span<LocalJob* const> jobs, ThreadPool* pool) {
+  // One task per (job, sub-domain), each job's tasks contiguous and in
+  // sub-domain order. The accumulate wave reuses the list: a full-field
+  // job's tiles are its sub-domain boxes, a scoped job's one tile is its
+  // own box.
+  struct Task {
+    LocalJob* job;
+    std::size_t d;
+  };
+  std::vector<Task> tasks;
+  for (LocalJob* const jp : jobs) {
+    LocalJob& job = *jp;
+    LC_CHECK_ARG(job.engine != nullptr && job.input != nullptr,
+                 "local job needs an engine and an input");
+    const std::size_t count = job.engine->decomposition().count();
+    if (!job.subdomain) {
+      for (std::size_t d = 0; d < count; ++d) tasks.push_back(Task{&job, d});
+    } else if (*job.subdomain < count) {
+      tasks.push_back(Task{&job, *job.subdomain});
+    } else {
+      job.error = std::make_exception_ptr(
+          InvalidArgument("sub-domain scope out of range"));
+    }
+  }
+  // A wave leaves task t's exception in errors[t]; each job then takes its
+  // first failing task's.
+  std::vector<std::exception_ptr> errors(tasks.size());
+  const auto collect_errors = [&] {
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+      if (errors[t] != nullptr && tasks[t].job->error == nullptr) {
+        tasks[t].job->error = errors[t];
+      }
+      errors[t] = nullptr;
     }
   };
-  // Outer parallelism over sub-domains: the local convolver detects it is
-  // running on one of the pool's own workers and degrades its internal
-  // stages to serial, so each worker owns one sub-domain end to end.
-  if (pool == nullptr || pool->size() <= 1 || count <= 1 ||
-      pool->on_worker_thread()) {
-    run(0, count);
-  } else {
-    pool->parallel_for_blocks(0, count, run);
+
+  // CompressedField has no empty state: slots stay unset until filled.
+  std::vector<std::optional<sampling::CompressedField>> slots(tasks.size());
+  {
+    LC_TRACE("pipeline.convolve_wave");
+    run_wave(pool, tasks.size(), [&](std::size_t t) {
+      LC_TRACE("pipeline.task");
+      const Task task = tasks[t];
+      try {
+        if (task.job->before_convolve) task.job->before_convolve(task.d);
+        slots[t].emplace(task.job->engine->convolve_one(*task.job->input,
+                                                        task.d));
+      } catch (...) {
+        errors[t] = std::current_exception();
+      }
+    });
+  }
+  collect_errors();
+  for (std::size_t t = 0; t < tasks.size(); ++t) {
+    LocalJob& job = *tasks[t].job;
+    if (job.error == nullptr) job.contributions.push_back(std::move(*slots[t]));
+  }
+  slots.clear();
+  for (LocalJob* const jp : jobs) {
+    LocalJob& job = *jp;
+    if (job.error == nullptr && !job.subdomain) {
+      job.result.output = RealField(job.input->grid(), 0.0);
+    }
   }
 
-  std::vector<sampling::CompressedField> contributions;
-  contributions.reserve(count);
-  std::size_t samples = 0;
-  std::size_t bytes = 0;
-  for (auto& slot : slots) {
-    samples += slot->samples().size();
-    bytes += slot->encoded_sample_bytes(params_.wire);
-    contributions.push_back(std::move(*slot));
+  // The tiles of one output are disjoint boxes, so inserts need no lock.
+  {
+    LC_TRACE("pipeline.accumulate_wave");
+    run_wave(pool, tasks.size(), [&](std::size_t t) {
+      const Task task = tasks[t];
+      LocalJob& job = *task.job;
+      if (job.error != nullptr) return;
+      try {
+        const Box3& box = job.engine->decomposition().subdomain(task.d);
+        RealField tile = accumulate_region(job.contributions, box,
+                                           job.engine->params().interpolation);
+        if (job.subdomain) {
+          job.result.output = std::move(tile);  // the tile IS the output
+        } else {
+          job.result.output.insert(tile, box.lo);
+        }
+      } catch (...) {
+        errors[t] = std::current_exception();
+      }
+    });
   }
-  PipelineMetrics& metrics = PipelineMetrics::get();
-  metrics.subdomains.add(count);
-  metrics.compressed_samples.add(samples);
-  metrics.exchanged_bytes.add(bytes);
-  LowCommResult result{accumulate_full(contributions, decomp_.grid(),
-                                       params_.interpolation, pool),
-                       samples, bytes, 0.0};
-  // Ratio versus storing every sub-domain's full-resolution N³ result.
-  result.compression_ratio =
-      static_cast<double>(decomp_.count()) *
-      static_cast<double>(decomp_.grid().size()) /
-      static_cast<double>(samples);
-  return result;
+  collect_errors();
+
+  for (LocalJob* const jp : jobs) {
+    LocalJob& job = *jp;
+    LowCommResult& r = job.result;
+    if (job.error != nullptr) {
+      r = LowCommResult{};
+      continue;
+    }
+    for (const auto& c : job.contributions) {
+      r.compressed_samples += c.samples().size();
+      r.exchanged_bytes += c.encoded_sample_bytes(job.engine->params().wire);
+    }
+    // Ratio versus storing every convolved sub-domain's full-resolution N³
+    // result.
+    r.compression_ratio = static_cast<double>(job.contributions.size()) *
+                          static_cast<double>(job.input->grid().size()) /
+                          static_cast<double>(r.compressed_samples);
+  }
 }
 
 std::size_t lowcomm_exchange_bytes(const LowCommConvolution& engine,
@@ -159,47 +256,14 @@ comm::LevelTraffic lowcomm_exchange_traffic(const Grid3& grid,
 
 namespace {
 
-/// Point-in-time copy of the cluster counters the telemetry record diffs
-/// (CommStats aggregates plus the per-rank wait totals summed over ranks).
-struct ClusterCounters {
-  std::size_t bytes = 0;
-  std::size_t intra_bytes = 0;
-  std::size_t inter_bytes = 0;
-  std::size_t intra_msgs = 0;
-  std::size_t inter_msgs = 0;
-  std::int64_t modeled_ns = 0;
-  std::int64_t intra_modeled_ns = 0;
-  std::int64_t inter_modeled_ns = 0;
-  std::int64_t barrier_wait_ns = 0;
-  std::int64_t recv_wait_ns = 0;
-};
-
-/// Lock-free running maximum across rank threads.
+/// Lock-free running maximum of a record field across rank threads.
 template <class T>
-void raise_to(std::atomic<T>& max, T value) {
-  T cur = max.load(std::memory_order_relaxed);
-  while (cur < value && !max.compare_exchange_weak(
+void raise_to(T& max, T value) {
+  std::atomic_ref<T> ref(max);
+  T cur = ref.load(std::memory_order_relaxed);
+  while (cur < value && !ref.compare_exchange_weak(
                             cur, value, std::memory_order_relaxed)) {
   }
-}
-
-ClusterCounters snapshot_counters(const comm::SimCluster& cluster) {
-  const comm::CommStats& s = cluster.stats();
-  ClusterCounters c;
-  c.bytes = s.bytes_sent.load();
-  c.intra_bytes = s.intra_bytes_sent.load();
-  c.inter_bytes = s.inter_bytes_sent.load();
-  c.intra_msgs = s.intra_messages.load();
-  c.inter_msgs = s.inter_messages.load();
-  c.modeled_ns = s.modeled_nanos.load();
-  c.intra_modeled_ns = s.intra_modeled_nanos.load();
-  c.inter_modeled_ns = s.inter_modeled_nanos.load();
-  for (int r = 0; r < cluster.size(); ++r) {
-    const comm::RankCommStats rs = cluster.rank_stats(r);
-    c.barrier_wait_ns += rs.barrier_wait_ns;
-    c.recv_wait_ns += rs.recv_wait_ns;
-  }
-  return c;
 }
 
 }  // namespace
@@ -222,42 +286,32 @@ RealField distributed_lowcomm_convolve(
   RealField assembled(grid, 0.0);
   std::mutex assemble_mutex;
 
-  // Plan-vs-actual telemetry (DESIGN.md §18): when LC_TELEMETRY is active,
-  // freeze the cost-model predictions for THIS (params, topology, route)
-  // before running — the plan's exact static traffic mirror, per-level α-β
-  // times at the cluster's own link models, the shared compute formula at
-  // the static default rate (the planner's 2e8 point-passes/s baseline;
-  // drift against it is exactly what the calibration fitter learns from) —
-  // then diff the executed counters into the measured side.
-  const bool telemetry = obs::telemetry_enabled();
-  obs::Tracer& tracer = obs::Tracer::global();
-  obs::PlanOutcome rec;
-  ClusterCounters before;
-  std::atomic<std::int64_t> max_local_convolve_ns{0};
-  std::atomic<std::size_t> max_device_peak{0};
-  std::atomic<double> max_quant_error{0.0};
-  if (telemetry) {
-    rec.source = "pipeline";
-    rec.n = grid.nx;
-    rec.ranks = workers;
-    rec.nodes = cluster.topology().nodes();
-    rec.k = params.subdomain;
-    rec.far_rate = static_cast<int>(params.far_rate);
-    rec.schedule = params.uniform_rate ? "uniform" : "banded";
-    rec.route = plan.hierarchical() ? "hierarchical" : "flat";
-    rec.wire = comm::codec_name(params.wire);
-    rec.batch = static_cast<std::int64_t>(params.batch);
-
+  // Plan-vs-actual telemetry (DESIGN.md §18), only when LC_TELEMETRY is
+  // active: freeze the cost-model predictions for THIS (params, topology,
+  // route) before running — the plan's exact static traffic mirror,
+  // per-level α-β times at the cluster's own link models, the shared
+  // compute formula at the static default rate (the planner's 2e8
+  // point-passes/s baseline; drift against it is exactly what the
+  // calibration fitter learns from). The recorder diffs the executed
+  // counters into the measured side and emits when this call returns or
+  // unwinds.
+  std::optional<obs::PlanOutcomeRecorder> recorder;
+  obs::PlanOutcome* rec = nullptr;
+  if (obs::telemetry_enabled()) {
+    recorder.emplace("pipeline", grid.nx, workers, cluster.topology().nodes(),
+                     params, plan.hierarchical() ? "hierarchical" : "flat",
+                     &cluster);
+    rec = &recorder->outcome();
     const comm::LevelTraffic& traffic = plan.traffic();
-    rec.pred_bytes = static_cast<std::int64_t>(traffic.total_bytes());
-    rec.pred_intra_bytes = static_cast<std::int64_t>(traffic.intra_bytes);
-    rec.pred_inter_bytes = static_cast<std::int64_t>(traffic.inter_bytes);
-    rec.pred_intra_msgs = static_cast<std::int64_t>(traffic.intra_messages);
-    rec.pred_inter_msgs = static_cast<std::int64_t>(traffic.inter_messages);
+    rec->pred_bytes = static_cast<std::int64_t>(traffic.total_bytes());
+    rec->pred_intra_bytes = static_cast<std::int64_t>(traffic.intra_bytes);
+    rec->pred_inter_bytes = static_cast<std::int64_t>(traffic.inter_bytes);
+    rec->pred_intra_msgs = static_cast<std::int64_t>(traffic.intra_messages);
+    rec->pred_inter_msgs = static_cast<std::int64_t>(traffic.inter_messages);
     const auto times = comm::predict_exchange_times(traffic, cluster.links());
-    rec.pred_intra_s = times.intra_seconds;
-    rec.pred_inter_s = times.inter_seconds;
-    rec.pred_wire_s = times.total_seconds();
+    rec->pred_intra_s = times.intra_seconds;
+    rec->pred_inter_s = times.inter_seconds;
+    rec->pred_wire_s = times.total_seconds();
 
     // Compute model: the representative central sub-domain's octree, the
     // same formula the planner prices with (obs::modeled_point_passes). The
@@ -270,54 +324,18 @@ RealField distributed_lowcomm_convolve(
     const double owned =
         std::ceil(static_cast<double>(decomp.count()) /
                   static_cast<double>(std::max(workers, 1)));
-    rec.pred_point_passes =
+    rec->pred_point_passes =
         owned * obs::modeled_point_passes(grid.nx, params.subdomain,
                                           central.retained_z_planes().size(),
                                           kernel->hermitian());
-    rec.pred_rate_pps = 2e8;  // PlanRequest::compute_rate_pps default
-    rec.pred_compute_s = rec.pred_point_passes / rec.pred_rate_pps;
-    rec.pred_memory_b = static_cast<std::int64_t>(
+    rec->pred_rate_pps = 2e8;  // PlanRequest::compute_rate_pps default
+    rec->pred_compute_s = rec->pred_point_passes / rec->pred_rate_pps;
+    rec->pred_memory_b = static_cast<std::int64_t>(
         device::plan_local_pipeline(grid.nx, params.subdomain,
                                     params.make_policy(), params.batch)
             .actual_total());
-    before = snapshot_counters(cluster);
   }
-  const std::int64_t wall_start = tracer.now_ns();
-
-  const auto emit_outcome = [&](bool aborted) {
-    rec.aborted = aborted;
-    rec.meas_wall_s =
-        static_cast<double>(tracer.now_ns() - wall_start) * 1e-9;
-    rec.meas_compute_s =
-        static_cast<double>(max_local_convolve_ns.load()) * 1e-9;
-    const ClusterCounters after = snapshot_counters(cluster);
-    rec.meas_bytes = static_cast<std::int64_t>(after.bytes - before.bytes);
-    rec.meas_intra_bytes =
-        static_cast<std::int64_t>(after.intra_bytes - before.intra_bytes);
-    rec.meas_inter_bytes =
-        static_cast<std::int64_t>(after.inter_bytes - before.inter_bytes);
-    rec.meas_intra_msgs =
-        static_cast<std::int64_t>(after.intra_msgs - before.intra_msgs);
-    rec.meas_inter_msgs =
-        static_cast<std::int64_t>(after.inter_msgs - before.inter_msgs);
-    rec.meas_wire_s =
-        static_cast<double>(after.modeled_ns - before.modeled_ns) * 1e-9;
-    rec.meas_intra_wire_s =
-        static_cast<double>(after.intra_modeled_ns - before.intra_modeled_ns) *
-        1e-9;
-    rec.meas_inter_wire_s =
-        static_cast<double>(after.inter_modeled_ns - before.inter_modeled_ns) *
-        1e-9;
-    rec.meas_barrier_wait_s =
-        static_cast<double>(after.barrier_wait_ns - before.barrier_wait_ns) *
-        1e-9;
-    rec.meas_recv_wait_s =
-        static_cast<double>(after.recv_wait_ns - before.recv_wait_ns) * 1e-9;
-    rec.meas_memory_peak_b =
-        static_cast<std::int64_t>(max_device_peak.load());
-    rec.meas_max_quant_error = max_quant_error.load();
-    obs::record_plan_outcome(rec);
-  };
+  obs::Tracer& tracer = obs::Tracer::global();
 
   const auto body = [&](comm::Rank& rank) {
     // Every rank builds the same deterministic engine, seeded with the
@@ -330,7 +348,7 @@ RealField distributed_lowcomm_convolve(
     // Telemetry measures the per-rank allocation peak through a private
     // DeviceContext (unlimited spec: tracking only, never admission).
     device::DeviceContext rank_device(device::DeviceSpec::unlimited());
-    if (telemetry) cfg.device = &rank_device;
+    if (rec != nullptr) cfg.device = &rank_device;
     LowCommConvolution engine(grid, kernel, params, cfg);
     const int me = rank.id();
     const auto& mine = plan.owned(me);
@@ -346,14 +364,19 @@ RealField distributed_lowcomm_convolve(
       }
       // Telemetry's measured compute is the slowest rank's local-convolve
       // time — the quantity the compute model predicts.
-      raise_to(max_local_convolve_ns, tracer.now_ns() - t0);
+      if (rec != nullptr) {
+        raise_to(rec->meas_compute_s,
+                 static_cast<double>(tracer.now_ns() - t0) * 1e-9);
+      }
     }
 
     // The single global exchange (Fig 1b): whichever route runs, every
     // rank receives from each source exactly the cells its own regions
     // read.
     ExchangeOutcome exchanged = exchange_samples(rank, plan, std::move(local));
-    raise_to(max_quant_error, exchanged.max_quant_error);
+    if (rec != nullptr) {
+      raise_to(rec->meas_max_quant_error, exchanged.max_quant_error);
+    }
 
     // Streaming unpack: sources in (rank, owned sub-domain) order — the
     // order accumulate_region would take a full contribution vector in, so
@@ -397,23 +420,13 @@ RealField distributed_lowcomm_convolve(
         assembled.insert(tiles[i], regions[i].lo);
       }
     }
-    if (telemetry) raise_to(max_device_peak, rank_device.peak_bytes());
+    if (rec != nullptr) {
+      raise_to(rec->meas_memory_peak_b,
+               static_cast<std::int64_t>(rank_device.peak_bytes()));
+    }
   };
 
-  if (!telemetry) {
-    cluster.run(body);
-    return assembled;
-  }
-  try {
-    cluster.run(body);
-  } catch (...) {
-    // A rank abort still produces a well-formed record: the predictions
-    // stand, the measured side reflects whatever executed before the
-    // unwind, and aborted=true marks it unusable for calibration.
-    emit_outcome(true);
-    throw;
-  }
-  emit_outcome(false);
+  cluster.run(body);
   return assembled;
 }
 

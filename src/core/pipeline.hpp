@@ -8,9 +8,12 @@
 // which needs an all-to-all inside every transform).
 #pragma once
 
+#include <exception>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 
 #include "comm/sim_cluster.hpp"
 #include "comm/wire_codec.hpp"
@@ -64,12 +67,12 @@ class LowCommConvolution {
   }
   [[nodiscard]] const LowCommParams& params() const noexcept { return params_; }
 
-  /// Convolve `input` with the kernel. Sub-domains are dispatched across
-  /// the configured thread pool (LocalConvolverConfig::pool; each worker
-  /// runs the local FFT pipeline serially inside its sub-domain), and the
-  /// final accumulation runs z-slab-parallel on the same pool. With a null
-  /// pool everything runs sequentially on this thread, as the paper's POC
-  /// does on one GPU.
+  /// Convolve `input` with the kernel: one run_local job on the configured
+  /// thread pool (LocalConvolverConfig::pool). Sub-domains are dispatched
+  /// across the pool (each worker runs the local FFT pipeline serially
+  /// inside its sub-domain), then each sub-domain box of the output is
+  /// accumulated as one pool task. With a null pool everything runs
+  /// sequentially on this thread, as the paper's POC does on one GPU.
   [[nodiscard]] LowCommResult convolve(const RealField& input) const;
 
   /// Compress one sub-domain's contribution (building block for the
@@ -104,6 +107,34 @@ class LowCommConvolution {
   LocalConvolver convolver_;
   mutable std::vector<OctreeSlot> octrees_;
 };
+
+/// One engine's share of a run_local call: convolve `input` over every
+/// sub-domain of the engine (or only `subdomain`), then accumulate the full
+/// field (or that sub-domain's tile from its own contribution).
+struct LocalJob {
+  const LowCommConvolution* engine = nullptr;
+  const RealField* input = nullptr;
+  std::optional<std::size_t> subdomain;  ///< scope: one sub-domain's tile
+  /// Runs inside each convolve task with the sub-domain index, just before
+  /// convolve_one (the service seeds cached octrees here).
+  std::function<void(std::size_t)> before_convolve;
+
+  // Filled by run_local. The contributions live until the job is dropped.
+  std::vector<sampling::CompressedField> contributions;
+  LowCommResult result;      ///< output plus the sample and byte tally
+  std::exception_ptr error;  ///< set when a task failed; `result` is unset
+};
+
+/// The in-process executor. It fills the caller's jobs in place, and the
+/// caller frees the contributions by dropping its jobs. One wave runs every
+/// job's convolve_one tasks, then one wave runs every (job, sub-domain box)
+/// accumulate_region task. Each wave is one parallel_for on `pool`, or a
+/// serial loop on this thread when the pool is null, has one worker, or
+/// owns this thread. A task's exception lands in its job's `error` (first
+/// failing sub-domain wins) and never fails the other jobs. A full-field
+/// output is tiled per sub-domain box; every tile adds the contributions in
+/// vector order at each point, so the bits equal accumulate_full's.
+void run_local(std::span<LocalJob* const> jobs, ThreadPool* pool);
 
 /// Distributed run over a simulated cluster: ranks convolve their assigned
 /// sub-domains locally, then exchange compressed samples in ONE

@@ -2,11 +2,12 @@
 //
 // Every distributed convolution — whether driven directly through
 // core::distributed_lowcomm_convolve or through the ConvolutionService —
-// finishes by emitting one PlanOutcome record: the planner/cost-model
-// predictions (compute seconds, per-level wire seconds, exact mirror bytes,
-// memory plan, error bound) paired with what actually happened (wall and
-// compute time, executed CommStats bytes/messages, measured memory peak,
-// realized quantization error, barrier/recv waits). Records append to a
+// finishes by emitting one PlanOutcome record through a PlanOutcomeRecorder:
+// the planner/cost-model predictions (compute seconds, per-level wire
+// seconds, exact mirror bytes, memory plan, error bound) paired with what
+// actually happened (wall and compute time, executed CommStats
+// bytes/messages, measured memory peak, realized quantization error,
+// barrier/recv waits). Records append to a
 // JSONL history file selected by LC_TELEMETRY=<path> (unset or "off"
 // disables the file; the drift gauges below update either way), one
 // self-contained JSON object per line, written under a mutex with a single
@@ -22,14 +23,19 @@
 // telemetry.cpp inside lc_obs.
 #pragma once
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "comm/sim_cluster.hpp"
+#include "comm/wire_codec.hpp"
+#include "core/pipeline.hpp"
 #include "obs/metrics.hpp"
 
 namespace lc::obs {
@@ -80,7 +86,7 @@ struct PlanOutcome {
   std::int64_t meas_inter_bytes = 0;
   std::int64_t meas_intra_msgs = 0;
   std::int64_t meas_inter_msgs = 0;
-  std::int64_t meas_memory_peak_b = 0;
+  std::int64_t meas_memory_peak_b = 0;  ///< max-over-ranks; 0 = unmeasured
   double meas_max_quant_error = 0.0;
   double meas_barrier_wait_s = 0.0;
   double meas_recv_wait_s = 0.0;
@@ -252,6 +258,107 @@ inline void record_plan_outcome(const PlanOutcome& o) {
   if (o.aborted) reg.counter("telemetry.aborted_records").add();
   TelemetrySink::global().append_line(to_json_line(o));
 }
+
+/// RAII framing of one PlanOutcome — the only place a record is built and
+/// emitted. Construction fills the shape fields from (source, n, ranks,
+/// nodes, params, route), starts the wall clock at `start` and, given a
+/// cluster, snapshots its counters. The caller fills the predictions and
+/// any measurement only it can see through outcome(). Destruction fills
+/// the wall time and the cluster counter deltas, sets `aborted` when the
+/// scope is unwinding, and emits the record once.
+class PlanOutcomeRecorder {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  PlanOutcomeRecorder(std::string source, std::int64_t n, int ranks, int nodes,
+                      const core::LowCommParams& params, std::string route,
+                      const comm::SimCluster* cluster = nullptr,
+                      Clock::time_point start = Clock::now())
+      : cluster_(cluster),
+        start_(start),
+        exceptions_(std::uncaught_exceptions()) {
+    rec_.source = std::move(source);
+    rec_.n = n;
+    rec_.ranks = ranks;
+    rec_.nodes = nodes;
+    rec_.k = params.subdomain;
+    rec_.far_rate = static_cast<int>(params.far_rate);
+    rec_.schedule = params.uniform_rate ? "uniform" : "banded";
+    rec_.route = std::move(route);
+    rec_.wire = comm::codec_name(params.wire);
+    rec_.batch = static_cast<std::int64_t>(params.batch);
+    if (cluster_ != nullptr) before_ = snapshot(*cluster_);
+  }
+  PlanOutcomeRecorder(const PlanOutcomeRecorder&) = delete;
+  PlanOutcomeRecorder& operator=(const PlanOutcomeRecorder&) = delete;
+
+  ~PlanOutcomeRecorder() {
+    // An unwinding scope still emits a well-formed record: predictions
+    // stand, the measured side is whatever ran, and aborted=true keeps it
+    // out of calibration.
+    rec_.aborted = std::uncaught_exceptions() > exceptions_;
+    rec_.meas_wall_s =
+        std::chrono::duration<double>(Clock::now() - start_).count();
+    if (cluster_ != nullptr) {
+      const Counters a = snapshot(*cluster_);
+      const Counters& b = before_;
+      const auto count = [](std::size_t after, std::size_t before) {
+        return static_cast<std::int64_t>(after - before);
+      };
+      const auto secs = [](std::int64_t after, std::int64_t before) {
+        return static_cast<double>(after - before) * 1e-9;
+      };
+      rec_.meas_bytes = count(a.bytes, b.bytes);
+      rec_.meas_intra_bytes = count(a.intra_bytes, b.intra_bytes);
+      rec_.meas_inter_bytes = count(a.inter_bytes, b.inter_bytes);
+      rec_.meas_intra_msgs = count(a.intra_msgs, b.intra_msgs);
+      rec_.meas_inter_msgs = count(a.inter_msgs, b.inter_msgs);
+      rec_.meas_wire_s = secs(a.modeled_ns, b.modeled_ns);
+      rec_.meas_intra_wire_s = secs(a.intra_modeled_ns, b.intra_modeled_ns);
+      rec_.meas_inter_wire_s = secs(a.inter_modeled_ns, b.inter_modeled_ns);
+      rec_.meas_barrier_wait_s = secs(a.barrier_wait_ns, b.barrier_wait_ns);
+      rec_.meas_recv_wait_s = secs(a.recv_wait_ns, b.recv_wait_ns);
+    }
+    record_plan_outcome(rec_);
+  }
+
+  [[nodiscard]] PlanOutcome& outcome() noexcept { return rec_; }
+
+ private:
+  /// The cluster counters a record diffs: CommStats aggregates plus the
+  /// per-rank wait totals summed over ranks.
+  struct Counters {
+    std::size_t bytes = 0, intra_bytes = 0, inter_bytes = 0;
+    std::size_t intra_msgs = 0, inter_msgs = 0;
+    std::int64_t modeled_ns = 0, intra_modeled_ns = 0, inter_modeled_ns = 0;
+    std::int64_t barrier_wait_ns = 0, recv_wait_ns = 0;
+  };
+
+  static Counters snapshot(const comm::SimCluster& cluster) {
+    const comm::CommStats& s = cluster.stats();
+    Counters c;
+    c.bytes = s.bytes_sent.load();
+    c.intra_bytes = s.intra_bytes_sent.load();
+    c.inter_bytes = s.inter_bytes_sent.load();
+    c.intra_msgs = s.intra_messages.load();
+    c.inter_msgs = s.inter_messages.load();
+    c.modeled_ns = s.modeled_nanos.load();
+    c.intra_modeled_ns = s.intra_modeled_nanos.load();
+    c.inter_modeled_ns = s.inter_modeled_nanos.load();
+    for (int r = 0; r < cluster.size(); ++r) {
+      const comm::RankCommStats rs = cluster.rank_stats(r);
+      c.barrier_wait_ns += rs.barrier_wait_ns;
+      c.recv_wait_ns += rs.recv_wait_ns;
+    }
+    return c;
+  }
+
+  PlanOutcome rec_;
+  const comm::SimCluster* cluster_;
+  Clock::time_point start_;
+  int exceptions_;
+  Counters before_;
+};
 
 /// Parse every well-formed record line of a JSONL history file (reader side
 /// — telemetry.cpp, lc_obs). Unparseable lines are skipped, not fatal: the

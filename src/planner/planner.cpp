@@ -79,15 +79,6 @@ std::size_t fit_batch(i64 n, const core::LowCommParams& params,
   return p.batch;
 }
 
-comm::LevelTraffic add_traffic(comm::LevelTraffic a,
-                               const comm::LevelTraffic& b) {
-  a.intra_bytes += b.intra_bytes;
-  a.inter_bytes += b.inter_bytes;
-  a.intra_messages += b.intra_messages;
-  a.inter_messages += b.inter_messages;
-  return a;
-}
-
 /// Closed-form price of a block candidate (screening stage). `shape` is the
 /// representative sub-domain octree, memoized by the caller per
 /// (k, schedule, r) — codecs and routes reprice it without rebuilding.
@@ -119,6 +110,7 @@ CandidateCost price_block(const PlanRequest& req, const Candidate& c,
   // which every Hermitian kernel runs.
   const double per_subdomain =
       obs::modeled_point_passes(n, k, shape.planes, /*real_path=*/true);
+  cost.compute_rate_pps = req.compute_rate_pps;
   cost.compute_seconds = owned * per_subdomain / req.compute_rate_pps;
 
   // Wire model: each rank ships its owned sub-domains' exact octree payload
@@ -165,13 +157,12 @@ CandidateCost price_block(const PlanRequest& req, const Candidate& c,
   return cost;
 }
 
-/// Price a slab/pencil baseline-FFT row (Eqn 1: all-to-all transpose stages
-/// each moving ~N³/P points; slab partitions need one, pencils two).
-CandidateCost price_baseline(const PlanRequest& req, DecompKind kind) {
+/// Price the slab baseline-FFT row (Eqn 1: one all-to-all transpose stage
+/// moving ~N³/P points).
+CandidateCost price_slab(const PlanRequest& req) {
   CandidateCost cost;
   const double n3 = cube(static_cast<double>(req.n));
   const double p = static_cast<double>(req.ranks);
-  const int stages = kind == DecompKind::kSlab ? 1 : 2;
 
   // Per-rank working set: the real input slice plus two complex copies
   // (transform + transpose staging).
@@ -180,30 +171,21 @@ CandidateCost price_baseline(const PlanRequest& req, DecompKind kind) {
   cost.predicted_rel_error = 0.0;  // exact method
 
   const double lg = std::log2(static_cast<double>(req.n));
+  cost.compute_rate_pps = req.compute_rate_pps;
   cost.compute_seconds = 3.0 * n3 * lg / p / req.compute_rate_pps;
 
   const int g = uniform_ranks_per_node(req.topology);
   const double stage_bytes_per_rank =
       n3 / p * 2.0 * sizeof(double);  // complex points
-  comm::LevelTraffic traffic;
-  for (int s = 0; s < stages; ++s) {
-    traffic = add_traffic(
-        traffic, comm::flat_exchange_traffic(req.ranks, g,
-                                             stage_bytes_per_rank));
-  }
+  const comm::LevelTraffic traffic =
+      comm::flat_exchange_traffic(req.ranks, g, stage_bytes_per_rank);
   cost.exchange_bytes = static_cast<double>(traffic.total_bytes());
   cost.wire = comm::predict_exchange_times(traffic, req.links);
 
-  const double max_parts =
-      kind == DecompKind::kSlab
-          ? static_cast<double>(req.n)
-          : static_cast<double>(req.n) * static_cast<double>(req.n);
   if (cost.memory_bytes > req.device.capacity_bytes) {
     cost.infeasible_reason = "memory: baseline slice does not fit the device";
-  } else if (p > max_parts) {
-    cost.infeasible_reason = kind == DecompKind::kSlab
-                                 ? "more ranks than slabs (P > N)"
-                                 : "more ranks than pencils (P > N^2)";
+  } else if (p > static_cast<double>(req.n)) {
+    cost.infeasible_reason = "more ranks than slabs (P > N)";
   } else {
     cost.feasible = true;
   }
@@ -234,7 +216,6 @@ const char* mode_name(Mode mode) {
 
 std::string Candidate::name() const {
   if (kind == DecompKind::kSlab) return "slab-fft";
-  if (kind == DecompKind::kPencil) return "pencil-fft";
   std::string s = "block k=" + std::to_string(params.subdomain);
   s += schedule == RateSchedule::kUniform ? " uniform r=" : " banded r=";
   s += std::to_string(params.uniform_rate.value_or(params.far_rate));
@@ -335,13 +316,9 @@ std::vector<RankedCandidate> Planner::enumerate(
         }
       }
     }
-    if (config_.include_baselines) {
-      for (const DecompKind kind : {DecompKind::kSlab, DecompKind::kPencil}) {
-        Candidate c;
-        c.kind = kind;
-        out.push_back(RankedCandidate{c, price_baseline(req, kind)});
-      }
-    }
+    Candidate slab;
+    slab.kind = DecompKind::kSlab;
+    out.push_back(RankedCandidate{slab, price_slab(req)});
   }
   std::stable_sort(out.begin(), out.end(), better);
 
@@ -425,14 +402,6 @@ std::string cache_key(const PlanRequest& req, Mode mode) {
     key += "/pin=-";
   }
   return key;
-}
-
-RealField execute_plan(comm::SimCluster& cluster, const RealField& input,
-                       std::shared_ptr<const green::KernelSpectrum> kernel,
-                       const ExecutionPlan& plan) {
-  return core::distributed_lowcomm_convolve(cluster, input, input.grid(),
-                                            std::move(kernel), plan.params(),
-                                            plan.route());
 }
 
 }  // namespace lc::planner

@@ -10,8 +10,8 @@
 //
 //   1. enumerates candidates: k³ block decompositions over the divisors of
 //      N × {banded, uniform} octree rate schedules × {flat, hierarchical}
-//      exchange routes × wire codecs (DESIGN.md §17), plus
-//      slab/pencil variants of the baseline distributed FFT for comparison;
+//      exchange routes × wire codecs (DESIGN.md §17), plus the slab
+//      baseline distributed FFT for comparison;
 //   2. prices each with the analytic models: Eqn 6 volume (per-sub-domain
 //      retained samples from a real metadata-only octree), Eqn 2 per-level
 //      α-β wire time via comm::predict_exchange_times, a transform-work
@@ -50,9 +50,8 @@ enum class Mode {
 
 /// Decomposition family of a candidate.
 enum class DecompKind {
-  kBlock,   ///< the paper's k³ sub-domains + octree exchange (executable)
-  kSlab,    ///< baseline distributed FFT, 1D slab partition (comparison row)
-  kPencil,  ///< baseline distributed FFT, 2D pencil partition (comparison row)
+  kBlock,  ///< the paper's k³ sub-domains + octree exchange (executable)
+  kSlab,   ///< baseline distributed FFT, 1D slab partition (comparison row)
 };
 
 /// Octree rate schedule of a block candidate.
@@ -102,6 +101,7 @@ struct CandidateCost {
   double exchange_bytes = 0.0;    ///< modeled wire bytes, both levels
   comm::LevelTimes wire{};        ///< per-level α-β seconds
   double compute_seconds = 0.0;   ///< modeled per-rank compute
+  double compute_rate_pps = 0.0;  ///< rate compute_seconds was priced at
   bool exact_traffic = false;     ///< true → priced from the real octrees
 
   [[nodiscard]] double total_seconds() const noexcept {
@@ -147,10 +147,9 @@ struct PlannerConfig {
       comm::WireCodec::kQ16};
   i64 min_subdomain = 4;
   /// Closed-form shortlist size re-priced with the exact traffic mirror.
+  /// The ranking also always carries the slab baseline-FFT row
+  /// (informational; the selected plan is always a block candidate).
   std::size_t exact_top = 4;
-  /// Include slab/pencil baseline-FFT rows in the ranking (informational;
-  /// the selected plan is always a block candidate).
-  bool include_baselines = true;
 };
 
 /// The planner. Stateless between calls; cheap to construct.
@@ -184,12 +183,5 @@ class Planner {
 /// measured ≤3% L2 error at its default hyperparameters.
 [[nodiscard]] double predicted_rel_error(i64 n, i64 k, i64 exterior_rate,
                                          RateSchedule schedule);
-
-/// Run a selected plan on a cluster (forwards params + route to
-/// core::distributed_lowcomm_convolve).
-[[nodiscard]] RealField execute_plan(
-    comm::SimCluster& cluster, const RealField& input,
-    std::shared_ptr<const green::KernelSpectrum> kernel,
-    const ExecutionPlan& plan);
 
 }  // namespace lc::planner

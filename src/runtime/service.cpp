@@ -8,14 +8,12 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "core/accumulator.hpp"
 #include "fft/fft1d.hpp"
 #include "fft/real_fft.hpp"
 #include "green/kernel.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
-#include "planner/calibration.hpp"
 #include "runtime/plan_provider.hpp"
 #include "sampling/octree.hpp"
 
@@ -119,19 +117,14 @@ struct ConvolutionService::Job {
   RequestStats stats;
   std::string engine_key;
   std::string result_key;  // empty when result caching is off
-  // The resolved execution plan (null under planner::Mode::kOff) and the
-  // compute rate its price was quoted at — the plan-vs-actual telemetry
-  // pairs these with the realized run time at response delivery.
+  // The resolved execution plan (null under planner::Mode::kOff); the
+  // plan-vs-actual telemetry pairs its price with the realized run time at
+  // response delivery.
   std::shared_ptr<const planner::ExecutionPlan> plan;
-  double plan_rate_pps = 0.0;
   std::shared_ptr<const core::LowCommConvolution> engine;
-  std::vector<std::size_t> subdomains;  // sub-domain indices to convolve
-  // One slot per sub-domain task (CompressedField has no empty state, so
-  // slots are optional until the convolve wave fills them).
-  std::vector<std::optional<sampling::CompressedField>> slots;
-  std::vector<sampling::CompressedField> contributions;
-  std::vector<std::exception_ptr> task_errors;  // one per slot
-  Clock::time_point picked_up;
+  // This request's run_local job. It holds the contributions, so they are
+  // freed with the job, after every response of its wave is delivered.
+  core::LocalJob work;
   bool responded = false;
 
   void respond(ConvolutionResponse response) {
@@ -375,7 +368,6 @@ void ConvolutionService::run_wave(Wave& wave) {
   {
   LC_TRACE("service.admission");
   for (auto& job : wave.jobs) {
-    job->picked_up = wave_start;
     job->stats.queue_seconds =
         std::chrono::duration<double>(wave_start - job->enqueued).count();
     queue_hist_.record(job->stats.queue_seconds);
@@ -405,13 +397,6 @@ void ConvolutionService::run_wave(Wave& wave) {
             plan_cached(cache_, planner_, preq, &job->stats.plan_cache_hit);
         job->request.params = plan->params();
         job->plan = plan;
-        // The rate the plan's compute price is quoted at: the request
-        // default unless a calibration fit overrides it (plan cache keys
-        // are salted with the calibration, so a cached plan always matches
-        // the currently loaded fit).
-        job->plan_rate_pps =
-            planner::apply_calibration(preq, planner::calibration_from_env())
-                .compute_rate_pps;
       }
       job->engine_key = engine_key_of(job->request);
       if (config_.cache_results) {
@@ -465,28 +450,19 @@ void ConvolutionService::run_wave(Wave& wave) {
         ++counters_.engine_hits;
       }
 
-      const auto& decomp = job->engine->decomposition();
-      if (job->request.subdomain) {
-        LC_CHECK_ARG(*job->request.subdomain < decomp.count(),
-                     "request sub-domain index out of range");
-        job->subdomains = {*job->request.subdomain};
-      } else {
-        job->subdomains.resize(decomp.count());
-        for (std::size_t d = 0; d < decomp.count(); ++d) {
-          job->subdomains[d] = d;
-        }
-      }
-      job->stats.subdomains = job->subdomains.size();
-      if (job->plan != nullptr && decomp.count() > 0) {
+      const std::size_t count = job->engine->decomposition().count();
+      LC_CHECK_ARG(!job->request.subdomain || *job->request.subdomain < count,
+                   "request sub-domain index out of range");
+      job->stats.subdomains = job->request.subdomain ? 1 : count;
+      if (job->plan != nullptr && count > 0) {
         // The plan prices the full decomposition (its single-rank request
         // owns every sub-domain); a sub-domain-scoped request executes only
         // its share of that work.
         job->stats.predicted_seconds =
             job->plan->cost.compute_seconds *
-            static_cast<double>(job->subdomains.size()) /
-            static_cast<double>(decomp.count());
+            static_cast<double>(job->stats.subdomains) /
+            static_cast<double>(count);
       }
-      job->slots.resize(job->subdomains.size());
     } catch (...) {
       std::lock_guard lock(mutex_);
       ++counters_.failed;
@@ -495,163 +471,53 @@ void ConvolutionService::run_wave(Wave& wave) {
   }
   }  // service.admission
 
-  // Flatten every live job's sub-domain work into one shared task list —
-  // this is the wave: concurrently queued requests batch into a single
-  // parallel_for instead of running their own pools back to back.
-  struct Task {
-    Job* job;
-    std::size_t slot;  // index into job->subdomains / contributions
-  };
-  std::vector<Task> tasks;
+  // The live jobs run as one run_local call — this is the wave: the
+  // sub-domain convolutions of concurrently queued requests share one
+  // parallel_for instead of running their own pools back to back, and
+  // their accumulate tiles share a second one.
+  std::vector<core::LocalJob*> work;
+  std::size_t tasks = 0;
   for (auto& job : wave.jobs) {
     if (job->responded) continue;
-    job->task_errors.assign(job->subdomains.size(), nullptr);
-    for (std::size_t i = 0; i < job->subdomains.size(); ++i) {
-      tasks.push_back(Task{job.get(), i});
-    }
-  }
-
-  const auto convolve_task = [&](std::size_t t) {
-    LC_TRACE("service.task");
-    Task& task = tasks[t];
-    Job& job = *task.job;
-    const std::size_t d = job.subdomains[task.slot];
-    try {
-      // Octrees outlive engines in the cache: a re-built engine re-adopts
-      // them instead of re-deriving the sampling pattern. Accounted at a
-      // flat estimate — cell counts aren't known before building and stay
-      // small (tens of bytes per cell).
+    Job* j = job.get();
+    core::LocalJob& w = j->work;
+    w.engine = j->engine.get();
+    w.input = &j->request.input;
+    w.subdomain = j->request.subdomain;
+    // Octrees outlive engines in the cache: a re-built engine re-adopts
+    // them instead of re-deriving the sampling pattern. Accounted at a flat
+    // estimate — cell counts aren't known before building and stay small
+    // (tens of bytes per cell).
+    w.before_convolve = [this, j](std::size_t d) {
       const auto tree = cache_.get_or_build<sampling::Octree>(
-          octree_key_of(job.request, d), kOctreeBytesEstimate,
+          octree_key_of(j->request, d), kOctreeBytesEstimate,
           [&]() -> std::shared_ptr<const sampling::Octree> {
-            const auto& decomp = job.engine->decomposition();
+            const auto& decomp = j->engine->decomposition();
             return std::make_shared<sampling::Octree>(
                 decomp.grid(), decomp.subdomain(d),
-                job.request.params.make_policy());
+                j->request.params.make_policy());
           });
-      job.engine->seed_octree(d, tree);
-      job.slots[task.slot].emplace(
-          job.engine->convolve_one(job.request.input, d));
-    } catch (...) {
-      job.task_errors[task.slot] = std::current_exception();
-    }
-  };
-
-  ThreadPool* pool = config_.pool;
-  const bool can_parallel =
-      pool != nullptr && pool->size() > 1 && !pool->on_worker_thread();
-  {
-    LC_TRACE("service.convolve_wave");
-    if (can_parallel && tasks.size() > 1) {
-      pool->parallel_for(0, tasks.size(), convolve_task);
-    } else {
-      for (std::size_t t = 0; t < tasks.size(); ++t) convolve_task(t);
-    }
+      j->engine->seed_octree(d, tree);
+    };
+    work.push_back(&w);
+    tasks += j->stats.subdomains;
   }
   {
     std::lock_guard lock(mutex_);
-    counters_.wave_tasks += tasks.size();
+    counters_.wave_tasks += tasks;
   }
-
-  // Accumulation wave: per-sub-domain tiles of each full-domain job (the
-  // boxes are disjoint, so tile inserts need no locking), or the single
-  // tile of a sub-domain-scoped job.
-  struct AccTask {
-    Job* job;
-    std::size_t slot;
-    RealField* output;
-  };
-  std::vector<AccTask> acc_tasks;
-  std::vector<std::unique_ptr<RealField>> outputs;
-  for (auto& job : wave.jobs) {
-    if (job->responded) continue;
-    std::exception_ptr first_error;
-    for (const auto& err : job->task_errors) {
-      if (err != nullptr) {
-        first_error = err;
-        break;
-      }
-    }
-    if (first_error != nullptr) {
-      std::lock_guard lock(mutex_);
-      ++counters_.failed;
-      job->fail(first_error);
-      continue;
-    }
-    job->contributions.reserve(job->slots.size());
-    for (auto& slot : job->slots) {
-      job->contributions.push_back(std::move(*slot));
-    }
-    job->slots.clear();
-    outputs.push_back(std::make_unique<RealField>());
-    RealField* out = outputs.back().get();
-    if (job->request.subdomain) {
-      acc_tasks.push_back(AccTask{job.get(), 0, out});
-    } else {
-      *out = RealField(job->request.input.grid(), 0.0);
-      for (std::size_t i = 0; i < job->subdomains.size(); ++i) {
-        acc_tasks.push_back(AccTask{job.get(), i, out});
-      }
-    }
-  }
-
-  const auto accumulate_task = [&](std::size_t t) {
-    AccTask& task = acc_tasks[t];
-    Job& job = *task.job;
-    try {
-      const auto& decomp = job.engine->decomposition();
-      const Box3& box = decomp.subdomain(job.subdomains[task.slot]);
-      RealField tile = core::accumulate_region(
-          job.contributions, box, job.request.params.interpolation);
-      if (job.request.subdomain) {
-        *task.output = std::move(tile);  // the tile IS the response
-      } else {
-        task.output->insert(tile, box.lo);
-      }
-    } catch (...) {
-      job.task_errors[task.slot] = std::current_exception();
-    }
-  };
-  {
-    LC_TRACE("service.accumulate_wave");
-    if (can_parallel && acc_tasks.size() > 1) {
-      pool->parallel_for(0, acc_tasks.size(), accumulate_task);
-    } else {
-      for (std::size_t t = 0; t < acc_tasks.size(); ++t) accumulate_task(t);
-    }
-  }
+  core::run_local(work, config_.pool);
 
   // Deliver responses (and optionally memoise them).
-  std::size_t out_index = 0;
   for (auto& job : wave.jobs) {
     if (job->responded) continue;
-    RealField* out = outputs[out_index++].get();
-    std::exception_ptr first_error;
-    for (const auto& err : job->task_errors) {
-      if (err != nullptr) {
-        first_error = err;
-        break;
-      }
-    }
-    if (first_error != nullptr) {
+    if (job->work.error != nullptr) {
       std::lock_guard lock(mutex_);
       ++counters_.failed;
-      job->fail(first_error);
+      job->fail(job->work.error);
       continue;
     }
-
-    core::LowCommResult result;
-    result.output = std::move(*out);
-    for (const auto& c : job->contributions) {
-      result.compressed_samples += c.samples().size();
-      result.exchanged_bytes +=
-          c.encoded_sample_bytes(job->request.params.wire);
-    }
-    result.compression_ratio =
-        static_cast<double>(job->contributions.size()) *
-        static_cast<double>(job->request.input.grid().size()) /
-        static_cast<double>(result.compressed_samples);
-
+    core::LowCommResult result = std::move(job->work.result);
     job->stats.run_seconds = seconds_since(wave_start);
     job->stats.measured_seconds = job->stats.run_seconds;
 
@@ -680,39 +546,24 @@ void ConvolutionService::run_wave(Wave& wave) {
       // Plan-vs-actual record for the serving path (result-cache hits and
       // planner-off requests never reach here — nothing was predicted).
       // Ranks/nodes are 1: the service convolves locally; its records feed
-      // the drift gauges and digests but not the distributed-rate fit.
-      obs::PlanOutcome rec;
-      rec.source = "service";
-      const core::LowCommParams& p = job->request.params;
-      rec.n = job->request.input.grid().nx;
-      rec.ranks = 1;
-      rec.nodes = 1;
-      rec.k = p.subdomain;
-      rec.far_rate = static_cast<int>(p.far_rate);
-      rec.schedule =
-          job->plan->choice.schedule == planner::RateSchedule::kUniform
-              ? "uniform"
-              : "banded";
-      rec.route = "local";
-      rec.wire = comm::codec_name(p.wire);
-      rec.batch = p.batch;
+      // the drift gauges and digests but not the distributed-rate fit. The
+      // memory peak stays 0: wave-mates share the service's device, so one
+      // request's own peak cannot be told apart (DESIGN.md §18).
+      const planner::CandidateCost& cost = job->plan->cost;
+      obs::PlanOutcomeRecorder recorder(
+          "service", job->request.input.grid().nx, 1, 1, job->request.params,
+          "local", nullptr, job->enqueued);
+      obs::PlanOutcome& rec = recorder.outcome();
       rec.pred_compute_s = job->stats.predicted_seconds;
-      rec.pred_rate_pps = job->plan_rate_pps;
-      rec.pred_point_passes =
-          job->stats.predicted_seconds * job->plan_rate_pps;
-      rec.pred_wire_s = job->plan->cost.wire.total_seconds();
-      rec.pred_intra_s = job->plan->cost.wire.intra_seconds;
-      rec.pred_inter_s = job->plan->cost.wire.inter_seconds;
-      rec.pred_bytes =
-          static_cast<std::int64_t>(job->plan->cost.exchange_bytes);
-      rec.pred_memory_b =
-          static_cast<std::int64_t>(job->plan->cost.memory_bytes);
-      rec.pred_rel_error = job->plan->cost.predicted_rel_error;
-      rec.meas_wall_s = job->stats.queue_seconds + job->stats.run_seconds;
+      rec.pred_rate_pps = cost.compute_rate_pps;
+      rec.pred_point_passes = rec.pred_compute_s * rec.pred_rate_pps;
+      rec.pred_wire_s = cost.wire.total_seconds();
+      rec.pred_intra_s = cost.wire.intra_seconds;
+      rec.pred_inter_s = cost.wire.inter_seconds;
+      rec.pred_bytes = static_cast<std::int64_t>(cost.exchange_bytes);
+      rec.pred_memory_b = static_cast<std::int64_t>(cost.memory_bytes);
+      rec.pred_rel_error = cost.predicted_rel_error;
       rec.meas_compute_s = job->stats.measured_seconds;
-      rec.meas_memory_peak_b =
-          static_cast<std::int64_t>(device_.peak_bytes());
-      obs::record_plan_outcome(rec);
     }
     latency_hist_.record(job->stats.queue_seconds + job->stats.run_seconds);
     if (job->enqueue_ns != 0 && obs::Tracer::global().enabled()) {

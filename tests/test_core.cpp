@@ -7,6 +7,9 @@
 // decaying kernels and shrinks as rates shrink.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "baseline/dense.hpp"
 #include "common/rng.hpp"
 #include "core/decomposition.hpp"
@@ -727,6 +730,146 @@ TEST(Accumulator, RejectsEmptyRegion) {
   std::vector<sampling::CompressedField> none;
   EXPECT_THROW((void)accumulate_region(none, Box3{{1, 1, 1}, {1, 2, 2}}),
                InvalidArgument);
+}
+
+// --- The in-process executor (run_local) ------------------------------------
+
+// Kernel whose every spectrum evaluation throws: a job built on it fails
+// inside its convolve tasks.
+class ThrowingSpectrum final : public green::KernelSpectrum {
+ public:
+  [[nodiscard]] green::cplx eval(const Index3&, const Grid3&) const override {
+    throw std::runtime_error("synthetic kernel fault");
+  }
+  [[nodiscard]] std::string name() const override { return "throwing"; }
+};
+
+// The executor's outputs equal an independent path, convolve_one over every
+// sub-domain plus accumulate_full (or accumulate_region over one sub-domain
+// for a scoped job), bit for bit, with the same sample and byte tally —
+// through LowCommConvolution::convolve and through one run_local call that
+// carries every scoped job in the same two waves.
+TEST(LocalExecutor, MatchesIndependentPathBitForBit) {
+  const Grid3 g = Grid3::cube(32);
+  const RealField input = random_field(g, 41);
+  auto kernel = std::make_shared<green::GaussianSpectrum>(g, 1.5);
+  ThreadPool pool(4);
+  for (const i64 k : {i64{8}, i64{16}}) {
+    for (const comm::WireCodec wire :
+         {comm::WireCodec::kOff, comm::WireCodec::kQ16}) {
+      SCOPED_TRACE("k=" + std::to_string(k) + " wire=" +
+                   comm::codec_name(wire));
+      LowCommParams params;
+      params.subdomain = k;
+      params.far_rate = 4;
+      params.batch = 256;
+      params.wire = wire;
+      LocalConvolverConfig cfg;
+      cfg.batch = params.batch;
+      cfg.pool = &pool;
+      const LowCommConvolution engine(g, kernel, params, cfg);
+      const std::size_t count = engine.decomposition().count();
+
+      std::vector<sampling::CompressedField> contributions;
+      std::size_t samples = 0, bytes = 0;
+      for (std::size_t d = 0; d < count; ++d) {
+        contributions.push_back(engine.convolve_one(input, d));
+        samples += contributions.back().samples().size();
+        bytes += contributions.back().encoded_sample_bytes(wire);
+      }
+      const RealField want = accumulate_full(contributions, g);
+
+      const LowCommResult got = engine.convolve(input);
+      ASSERT_EQ(got.output.grid(), g);
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(got.output[i], want[i]) << i;
+      }
+      EXPECT_EQ(got.compressed_samples, samples);
+      EXPECT_EQ(got.exchanged_bytes, bytes);
+      EXPECT_EQ(got.compression_ratio, static_cast<double>(count) *
+                                           static_cast<double>(g.size()) /
+                                           static_cast<double>(samples));
+
+      std::vector<LocalJob> jobs(count);
+      std::vector<LocalJob*> ptrs;
+      std::vector<int> hook_calls(count, 0);
+      for (std::size_t d = 0; d < count; ++d) {
+        ptrs.push_back(&jobs[d]);
+        jobs[d].engine = &engine;
+        jobs[d].input = &input;
+        jobs[d].subdomain = d;
+        jobs[d].before_convolve = [&hook_calls, d](std::size_t sd) {
+          EXPECT_EQ(sd, d);
+          ++hook_calls[d];
+        };
+      }
+      run_local(ptrs, &pool);
+      for (std::size_t d = 0; d < count; ++d) {
+        ASSERT_EQ(jobs[d].error, nullptr);
+        EXPECT_EQ(hook_calls[d], 1);
+        const Box3& box = engine.decomposition().subdomain(d);
+        const RealField tile =
+            accumulate_region({contributions.begin() + d,
+                               contributions.begin() + d + 1},
+                              box);
+        const LowCommResult& r = jobs[d].result;
+        ASSERT_EQ(r.output.grid(), box.extents());
+        for (std::size_t i = 0; i < tile.size(); ++i) {
+          ASSERT_EQ(r.output[i], tile[i]) << "d=" << d << " i=" << i;
+        }
+        EXPECT_EQ(r.compressed_samples, contributions[d].samples().size());
+        EXPECT_EQ(r.exchanged_bytes,
+                  contributions[d].encoded_sample_bytes(wire));
+        ASSERT_EQ(jobs[d].contributions.size(), 1u);
+      }
+    }
+  }
+}
+
+// A job whose tasks throw reports the failure in its own `error`; its
+// wave-mates complete untouched, in parallel waves and in serial ones.
+TEST(LocalExecutor, FailingJobDoesNotFailItsWaveMates) {
+  const Grid3 g = Grid3::cube(16);
+  const RealField input = random_field(g, 42);
+  LowCommParams params;
+  params.subdomain = 8;
+  params.far_rate = 4;
+  params.batch = 64;
+  LocalConvolverConfig cfg;
+  cfg.batch = params.batch;
+  cfg.pool = nullptr;
+  const LowCommConvolution healthy(
+      g, std::make_shared<green::GaussianSpectrum>(g, 1.2), params, cfg);
+  const LowCommConvolution failing(g, std::make_shared<ThrowingSpectrum>(),
+                                   params, cfg);
+  const RealField want = healthy.convolve(input).output;
+
+  ThreadPool pool(3);
+  for (ThreadPool* p : {&pool, static_cast<ThreadPool*>(nullptr)}) {
+    std::vector<LocalJob> jobs(3);
+    jobs[0].engine = &failing;
+    jobs[1].engine = &healthy;
+    jobs[2].engine = &healthy;
+    jobs[2].subdomain = 1000;  // out of range: fails before any task runs
+    std::vector<LocalJob*> ptrs;
+    for (auto& job : jobs) {
+      job.input = &input;
+      ptrs.push_back(&job);
+    }
+    run_local(ptrs, p);
+
+    ASSERT_NE(jobs[0].error, nullptr);
+    EXPECT_THROW(std::rethrow_exception(jobs[0].error), std::runtime_error);
+    EXPECT_TRUE(jobs[0].result.output.empty());
+    ASSERT_NE(jobs[2].error, nullptr);
+    EXPECT_THROW(std::rethrow_exception(jobs[2].error), InvalidArgument);
+    ASSERT_EQ(jobs[1].error, nullptr);
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(jobs[1].result.output[i], want[i]) << i;
+    }
+  }
+  // Through convolve, the failure surfaces as the caller's exception.
+  EXPECT_THROW((void)failing.convolve(input), std::runtime_error);
 }
 
 }  // namespace

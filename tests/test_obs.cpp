@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstring>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -844,6 +845,89 @@ TEST(ObsTelemetry, MaxQuantErrorIsMeasuredPerCall) {
   EXPECT_EQ(records[1].meas_max_quant_error, 0.0);
   EXPECT_GT(obs::Registry::global().gauge("exchange.max_quant_error").value(),
             0.0);
+}
+
+// The recorder frames the shape from (source, n, ranks, nodes, params,
+// route), diffs the cluster counters, and marks a record emitted while its
+// scope unwinds as aborted — exactly one record per scope either way.
+TEST(ObsTelemetry, RecorderFramesShapeAndMarksUnwindingAborted) {
+  const std::string path =
+      testing::TempDir() + "lc_obs_telemetry_recorder.jsonl";
+  ScopedTelemetryPath scoped(path);
+
+  auto params = uniform_params(16, 4);
+  params.wire = comm::WireCodec::kQ16;
+  params.batch = 128;
+  comm::SimCluster cluster(2);
+  {
+    obs::PlanOutcomeRecorder recorder("pipeline", 64, 2, 1, params, "flat",
+                                      &cluster);
+    recorder.outcome().pred_bytes = 42;
+    cluster.run([](comm::Rank& rank) {
+      std::vector<double> payload(4, 1.0);
+      if (rank.id() == 0) rank.send(1, payload);
+      if (rank.id() == 1) (void)rank.recv(0);
+    });
+  }
+  try {
+    obs::PlanOutcomeRecorder recorder("service", 32, 1, 1,
+                                      uniform_params(8, 2), "local");
+    throw std::runtime_error("unwind");
+  } catch (const std::runtime_error&) {
+  }
+
+  const auto records = obs::read_plan_outcomes(path);
+  ASSERT_EQ(records.size(), 2u);
+  const obs::PlanOutcome& ok = records[0];
+  EXPECT_FALSE(ok.aborted);
+  EXPECT_EQ(ok.source, "pipeline");
+  EXPECT_EQ(ok.n, 64);
+  EXPECT_EQ(ok.ranks, 2);
+  EXPECT_EQ(ok.nodes, 1);
+  EXPECT_EQ(ok.k, 16);
+  EXPECT_EQ(ok.far_rate, 4);
+  EXPECT_EQ(ok.schedule, "uniform");
+  EXPECT_EQ(ok.route, "flat");
+  EXPECT_EQ(ok.wire, "q16");
+  EXPECT_EQ(ok.batch, 128);
+  EXPECT_EQ(ok.pred_bytes, 42);
+  EXPECT_EQ(ok.meas_bytes,
+            static_cast<std::int64_t>(cluster.stats().bytes_sent.load()));
+  EXPECT_EQ(ok.meas_bytes, 4 * static_cast<std::int64_t>(sizeof(double)));
+  EXPECT_GT(ok.meas_wall_s, 0.0);
+  const obs::PlanOutcome& unwound = records[1];
+  EXPECT_TRUE(unwound.aborted);
+  EXPECT_EQ(unwound.source, "service");
+  EXPECT_EQ(unwound.route, "local");
+  EXPECT_EQ(unwound.meas_bytes, 0);
+}
+
+// A service record leaves the memory peak unset: wave-mates share the
+// service's device, so its lifetime peak (which the first, larger request
+// set) is no measure of a later request's own footprint.
+TEST(ObsTelemetry, ServiceRecordsLeaveMemoryPeakUnset) {
+  const std::string path =
+      testing::TempDir() + "lc_obs_telemetry_service_memory.jsonl";
+  ScopedTelemetryPath scoped(path);
+  runtime::ConvolutionService service;
+  for (const i64 n : {i64{32}, i64{16}}) {
+    const Grid3 grid = Grid3::cube(n);
+    RealField input(grid);
+    SplitMix64 rng(17);
+    for (auto& v : input.span()) v = rng.uniform(-1.0, 1.0);
+    runtime::ConvolutionRequest req;
+    req.input = input;
+    req.kernel = std::make_shared<green::GaussianSpectrum>(grid, 2.0);
+    req.params = uniform_params(8, 2);
+    (void)service.run(std::move(req));
+  }
+  EXPECT_GT(service.device().peak_bytes(), 0u);
+  const auto records = obs::read_plan_outcomes(path);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[1].source, "service");
+  EXPECT_EQ(records[1].n, 16);
+  EXPECT_EQ(records[1].meas_memory_peak_b, 0);
+  EXPECT_GT(records[1].pred_memory_b, 0);
 }
 
 TEST(ObsService, DriftStatsPairPredictedWithMeasuredSeconds) {

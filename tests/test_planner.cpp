@@ -132,10 +132,9 @@ TEST(Planner, EnumerationCoversDivisorsSchedulesAndRoutes) {
   const auto ranked = planner.enumerate(small_request());
   ASSERT_FALSE(ranked.empty());
   bool saw_banded = false, saw_uniform = false, saw_hier = false,
-       saw_slab = false, saw_pencil = false;
+       saw_slab = false;
   for (const auto& rc : ranked) {
     if (rc.candidate.kind == DecompKind::kSlab) saw_slab = true;
-    if (rc.candidate.kind == DecompKind::kPencil) saw_pencil = true;
     if (rc.candidate.kind != DecompKind::kBlock) continue;
     EXPECT_EQ(32 % rc.candidate.params.subdomain, 0)
         << "enumerated k must divide N";
@@ -145,7 +144,7 @@ TEST(Planner, EnumerationCoversDivisorsSchedulesAndRoutes) {
       saw_hier = true;
     }
   }
-  EXPECT_TRUE(saw_banded && saw_uniform && saw_hier && saw_slab && saw_pencil);
+  EXPECT_TRUE(saw_banded && saw_uniform && saw_hier && saw_slab);
   // Ranking invariant: feasible candidates strictly precede infeasible
   // ones, and are sorted by modeled total.
   double prev = 0.0;
@@ -158,6 +157,45 @@ TEST(Planner, EnumerationCoversDivisorsSchedulesAndRoutes) {
     EXPECT_FALSE(seen_infeasible) << "feasible candidate after infeasible";
     EXPECT_GE(rc.cost.total_seconds(), prev);
     prev = rc.cost.total_seconds();
+  }
+}
+
+// Every plan the planner emits runs: its params and route execute through
+// distributed_lowcomm_convolve, the executed per-level traffic equals the
+// static mirror, and an exactly priced plan moves exactly the bytes it was
+// priced at. (Accuracy is not asserted here.)
+TEST(Planner, EveryEmittedPlanRuns) {
+  struct Shape {
+    i64 n;
+    comm::Topology topo;
+  };
+  for (const Shape& shape : {Shape{32, comm::Topology::grouped(8, 4)},
+                             Shape{64, comm::Topology::grouped(4, 2)}}) {
+    PlanRequest req;
+    req.n = shape.n;
+    req.ranks = shape.topo.ranks();
+    req.topology = shape.topo;
+    const ExecutionPlan plan = Planner().plan(req);
+    SCOPED_TRACE("N=" + std::to_string(shape.n) + " " + plan.choice.name());
+
+    const Grid3 g = Grid3::cube(shape.n);
+    const RealField input = random_field(g, 73);
+    const auto kernel = std::make_shared<green::GaussianSpectrum>(g, 2.0);
+    comm::SimCluster cluster(shape.topo);
+    EXPECT_NO_THROW((void)core::distributed_lowcomm_convolve(
+        cluster, input, g, kernel, plan.params(), plan.route()));
+
+    const comm::LevelTraffic mirror = core::lowcomm_exchange_traffic(
+        g, plan.params(), shape.topo, plan.route());
+    const comm::CommStats& stats = cluster.stats();
+    EXPECT_EQ(stats.intra_bytes_sent.load(), mirror.intra_bytes);
+    EXPECT_EQ(stats.inter_bytes_sent.load(), mirror.inter_bytes);
+    EXPECT_EQ(stats.intra_messages.load(), mirror.intra_messages);
+    EXPECT_EQ(stats.inter_messages.load(), mirror.inter_messages);
+    if (plan.cost.exact_traffic) {
+      EXPECT_EQ(static_cast<double>(stats.bytes_sent.load()),
+                plan.cost.exchange_bytes);
+    }
   }
 }
 
@@ -540,6 +578,7 @@ TEST(PlannerCalibration, EnvCalibrationRescalesPlansAndSaltsCacheKeys) {
   ::unsetenv("LC_CALIBRATION");
   reload_calibration();
   const ExecutionPlan before = planner.plan(req);
+  EXPECT_EQ(before.cost.compute_rate_pps, 2e8);  // the static default
   const std::string key_before = cache_key(req, Mode::kAnalytic);
   EXPECT_NE(key_before.find("/cal=-"), std::string::npos);
 
@@ -557,6 +596,7 @@ TEST(PlannerCalibration, EnvCalibrationRescalesPlansAndSaltsCacheKeys) {
   reload_calibration();
 
   const ExecutionPlan after = planner.plan(req);
+  EXPECT_EQ(after.cost.compute_rate_pps, cal.rate_pps);  // the plan's rate
   EXPECT_EQ(after.params().subdomain, before.params().subdomain);
   EXPECT_NEAR(after.cost.compute_seconds, 0.5 * before.cost.compute_seconds,
               1e-12 * before.cost.compute_seconds);

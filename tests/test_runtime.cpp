@@ -5,6 +5,8 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -262,17 +264,32 @@ ConvolutionRequest small_request(const Grid3& g) {
   return req;
 }
 
+// Reference result built outside the executor: convolve_one over every
+// sub-domain of a directly driven engine, accumulate_full, and the tally.
+core::LowCommResult reference_result(const ConvolutionRequest& req) {
+  core::LocalConvolverConfig cfg;
+  cfg.batch = req.params.batch;
+  cfg.pool = nullptr;
+  const core::LowCommConvolution engine(req.input.grid(), req.kernel,
+                                        req.params, cfg);
+  std::vector<sampling::CompressedField> contributions;
+  core::LowCommResult r;
+  for (std::size_t d = 0; d < engine.decomposition().count(); ++d) {
+    contributions.push_back(engine.convolve_one(req.input, d));
+    r.compressed_samples += contributions.back().samples().size();
+    r.exchanged_bytes +=
+        contributions.back().encoded_sample_bytes(req.params.wire);
+  }
+  r.output = core::accumulate_full(contributions, req.input.grid(),
+                                   req.params.interpolation);
+  return r;
+}
+
 TEST(ConvolutionService, MatchesDirectEngineAndHitsResultCache) {
   const Grid3 g = Grid3::cube(32);
   ConvolutionService service;
 
-  // Ground truth from a directly driven engine.
-  auto req = small_request(g);
-  core::LocalConvolverConfig cfg;
-  cfg.batch = req.params.batch;
-  cfg.pool = nullptr;
-  const core::LowCommConvolution direct(g, req.kernel, req.params, cfg);
-  const core::LowCommResult expected = direct.convolve(req.input);
+  const core::LowCommResult expected = reference_result(small_request(g));
 
   const ConvolutionResponse cold = service.run(small_request(g));
   EXPECT_FALSE(cold.stats.result_cache_hit);
@@ -304,11 +321,7 @@ TEST(ConvolutionService, ReportsCodecAwareExchangedBytes) {
 
   auto req = small_request(g);
   req.params.wire = comm::WireCodec::kQ16;
-  core::LocalConvolverConfig cfg;
-  cfg.batch = req.params.batch;
-  cfg.pool = nullptr;
-  const core::LowCommConvolution direct(g, req.kernel, req.params, cfg);
-  const core::LowCommResult expected = direct.convolve(req.input);
+  const core::LowCommResult expected = reference_result(req);
   ASSERT_LT(expected.exchanged_bytes, expected.compressed_samples * 8);
 
   const ConvolutionResponse cold = service.run(ConvolutionRequest(req));
@@ -458,6 +471,100 @@ TEST(ConvolutionService, StatsTableRendersEveryCounter) {
   EXPECT_NE(rendered.find("submitted"), std::string::npos);
   EXPECT_NE(rendered.find("result-cache hits"), std::string::npos);
   EXPECT_NE(rendered.find("latency p95"), std::string::npos);
+}
+
+// Every full-field and every sub-domain-scoped response equals the
+// independent path bit for bit, with the same tally, when all of them share
+// one wave — at two sub-domain sizes, with and without a lossy codec.
+TEST(ConvolutionService, WaveOutputsMatchIndependentPathBitForBit) {
+  const Grid3 g = Grid3::cube(32);
+  for (const i64 k : {i64{8}, i64{16}}) {
+    for (const comm::WireCodec wire :
+         {comm::WireCodec::kOff, comm::WireCodec::kQ16}) {
+      SCOPED_TRACE("k=" + std::to_string(k) + " wire=" +
+                   comm::codec_name(wire));
+      auto req = small_request(g);
+      req.params.subdomain = k;
+      req.params.wire = wire;
+      const core::LowCommResult full = reference_result(req);
+      const core::DomainDecomposition decomp(g, k);
+
+      ServiceConfig cfg;
+      cfg.start_paused = true;
+      cfg.max_wave = 0;  // one wave for everything queued
+      cfg.queue_capacity = 128;
+      ConvolutionService service(cfg);
+      std::vector<std::future<ConvolutionResponse>> scoped;
+      auto whole = service.submit(ConvolutionRequest(req));
+      for (std::size_t d = 0; d < decomp.count(); ++d) {
+        auto one = req;
+        one.subdomain = d;
+        scoped.push_back(service.submit(std::move(one)));
+      }
+      service.resume();
+
+      const ConvolutionResponse got = whole.get();
+      EXPECT_EQ(got.result.compressed_samples, full.compressed_samples);
+      EXPECT_EQ(got.result.exchanged_bytes, full.exchanged_bytes);
+      for (std::size_t i = 0; i < full.output.size(); ++i) {
+        ASSERT_EQ(got.result.output[i], full.output[i]) << i;
+      }
+      core::LocalConvolverConfig ecfg;
+      ecfg.batch = req.params.batch;
+      ecfg.pool = nullptr;
+      const core::LowCommConvolution engine(g, req.kernel, req.params, ecfg);
+      for (std::size_t d = 0; d < decomp.count(); ++d) {
+        std::vector<sampling::CompressedField> one;
+        one.push_back(engine.convolve_one(req.input, d));
+        const RealField tile = core::accumulate_region(
+            one, decomp.subdomain(d), req.params.interpolation);
+        const ConvolutionResponse r = scoped[d].get();
+        EXPECT_EQ(r.result.compressed_samples, one[0].samples().size());
+        EXPECT_EQ(r.result.exchanged_bytes,
+                  one[0].encoded_sample_bytes(wire));
+        ASSERT_EQ(r.result.output.grid(), tile.grid());
+        for (std::size_t i = 0; i < tile.size(); ++i) {
+          ASSERT_EQ(r.result.output[i], tile[i]) << "d=" << d << " i=" << i;
+        }
+      }
+      EXPECT_EQ(service.stats().failed, 0u);
+    }
+  }
+}
+
+// Kernel whose every spectrum evaluation throws: its request fails inside
+// the shared convolve wave.
+class ThrowingSpectrum final : public green::KernelSpectrum {
+ public:
+  [[nodiscard]] green::cplx eval(const Index3&, const Grid3&) const override {
+    throw std::runtime_error("synthetic kernel fault");
+  }
+  [[nodiscard]] std::string name() const override { return "throwing"; }
+};
+
+TEST(ConvolutionService, FailingRequestDoesNotFailItsWaveMates) {
+  const Grid3 g = Grid3::cube(32);
+  ServiceConfig cfg;
+  cfg.start_paused = true;
+  ConvolutionService service(cfg);
+
+  auto bad = small_request(g);
+  bad.kernel = std::make_shared<ThrowingSpectrum>();
+  auto failing = service.submit(std::move(bad));
+  auto healthy = service.submit(small_request(g));
+  service.resume();
+
+  EXPECT_THROW((void)failing.get(), std::runtime_error);
+  const core::LowCommResult expected = reference_result(small_request(g));
+  const ConvolutionResponse got = healthy.get();
+  EXPECT_EQ(got.result.compressed_samples, expected.compressed_samples);
+  for (std::size_t i = 0; i < expected.output.size(); ++i) {
+    ASSERT_EQ(got.result.output[i], expected.output[i]) << i;
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.waves, 1u);  // both requests shared one wave
 }
 
 TEST(ConvolutionService, WaveBatchesQueuedRequests) {
