@@ -14,23 +14,12 @@ const char* codec_name(WireCodec codec) noexcept {
       return "off";
     case WireCodec::kFp32:
       return "fp32";
-    case WireCodec::kFp16:
-      return "fp16";
     case WireCodec::kBf16:
       return "bf16";
     case WireCodec::kQ16:
       return "q16";
   }
   return "off";
-}
-
-WireCodec parse_wire_codec(std::string_view value) {
-  for (const WireCodec c : kAllWireCodecs) {
-    if (value == codec_name(c)) return c;
-  }
-  throw InvalidArgument("wire codec '" + std::string(value) +
-                        "' is not a recognised value (expected one of: off "
-                        "fp32 fp16 bf16 q16)");
 }
 
 // ---------------------------------------------------------------------------
@@ -66,14 +55,6 @@ void WireEncoder::add_cell(std::span<const double> samples) {
       scratchd_.resize(n);
       simd::row_f32_to_f64(scratchd_.data(), scratch32_.data(), n);
       append(scratch32_.data(), n * sizeof(float));
-      break;
-    }
-    case WireCodec::kFp16: {
-      scratch16_.resize(n);
-      simd::row_f64_to_f16(scratch16_.data(), samples.data(), n);
-      scratchd_.resize(n);
-      simd::row_f16_to_f64(scratchd_.data(), scratch16_.data(), n);
-      append(scratch16_.data(), n * sizeof(std::uint16_t));
       break;
     }
     case WireCodec::kBf16: {
@@ -145,11 +126,6 @@ void WireDecoder::read_cell(std::span<double> out) {
       scratch32_.resize(n);
       std::memcpy(scratch32_.data(), p, n * sizeof(float));
       simd::row_f32_to_f64(out.data(), scratch32_.data(), n);
-      break;
-    case WireCodec::kFp16:
-      scratch16_.resize(n);
-      std::memcpy(scratch16_.data(), p, n * sizeof(std::uint16_t));
-      simd::row_f16_to_f64(out.data(), scratch16_.data(), n);
       break;
     case WireCodec::kBf16:
       scratch16_.resize(n);

@@ -2,12 +2,11 @@
 //
 // The exchange ships far-field samples the octree already downsampled
 // aggressively, so the per-element representation is the last untapped
-// 2–4× of wire volume. Five formats, selected per run by
+// 2–4× of wire volume. Four formats, selected per run by
 // core::LowCommParams::wire (the planner searches it as a plan dimension):
 //
 //   off   fp64 passthrough — bit-exact, the pre-codec wire format
 //   fp32  4 B/sample, round-to-nearest narrowing
-//   fp16  2 B/sample IEEE binary16, clamped to ±65504 before encoding
 //   bf16  2 B/sample bfloat16 (float range, 8-bit mantissa)
 //   q16   2 B/sample block-scaled int16: one fp64 max-abs scale per octree
 //         cell (8 B header), samples quantised to scale·[-32767, 32767].
@@ -28,26 +27,21 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string_view>
 #include <vector>
 
 namespace lc::comm {
 
 /// Payload representation of the sample exchange.
-enum class WireCodec : std::uint8_t { kOff, kFp32, kFp16, kBf16, kQ16 };
+enum class WireCodec : std::uint8_t { kOff, kFp32, kBf16, kQ16 };
 
 /// All codecs, in spelling order (sweep helper for benches/tests).
 inline constexpr WireCodec kAllWireCodecs[] = {
-    WireCodec::kOff, WireCodec::kFp32, WireCodec::kFp16, WireCodec::kBf16,
-    WireCodec::kQ16};
+    WireCodec::kOff, WireCodec::kFp32, WireCodec::kBf16, WireCodec::kQ16};
 
-/// Canonical spelling ("off", "fp32", "fp16", "bf16", "q16").
+/// Canonical spelling ("off", "fp32", "bf16", "q16").
 [[nodiscard]] const char* codec_name(WireCodec codec) noexcept;
 
-/// Parse a codec spelling; throws InvalidArgument naming the bad value.
-[[nodiscard]] WireCodec parse_wire_codec(std::string_view value);
-
-/// Encoded bytes per sample (8, 4, 2, 2, 2).
+/// Encoded bytes per sample (8, 4, 2, 2).
 [[nodiscard]] constexpr std::size_t codec_sample_bytes(
     WireCodec codec) noexcept {
   switch (codec) {
@@ -55,7 +49,6 @@ inline constexpr WireCodec kAllWireCodecs[] = {
       return 8;
     case WireCodec::kFp32:
       return 4;
-    case WireCodec::kFp16:
     case WireCodec::kBf16:
     case WireCodec::kQ16:
       return 2;
@@ -92,8 +85,6 @@ inline constexpr WireCodec kAllWireCodecs[] = {
       return 0.0;
     case WireCodec::kFp32:
       return 1e-7;  // 2^-24 mantissa rounding
-    case WireCodec::kFp16:
-      return 2e-3;  // 2^-11 mantissa; range-clamped at ±65504
     case WireCodec::kBf16:
       return 5e-3;  // 2^-8 mantissa
     case WireCodec::kQ16:

@@ -195,60 +195,11 @@ inline void complex_mul_inplace(std::complex<double>* a,
 // ---------------------------------------------------------------------------
 // Narrow-precision row conversions for the exchange wire codec
 // (comm/wire_codec.hpp, DESIGN.md §17). The scalar bit algorithms below are
-// the ground truth; the AVX2/F16C fast paths are property-tested bit-equal
+// the ground truth; the AVX2 fast paths are property-tested bit-equal
 // against them (tests/test_wire_codec.cpp), and the LC_SIMD=off build runs
 // the scalar forms exclusively. NaN payloads are not supported by the wire
 // formats (fields are finite by construction); conversions assume finite
 // inputs.
-
-/// IEEE binary16 bits of `f`, round-to-nearest-even with saturation: any
-/// float that would round to ±inf encodes as ±65504 (the wire codec also
-/// clamps before converting, making this branch a backstop).
-[[nodiscard]] inline std::uint16_t f32_to_f16_bits(float f) noexcept {
-  const std::uint32_t bits = std::bit_cast<std::uint32_t>(f);
-  const auto sign = static_cast<std::uint16_t>((bits >> 16) & 0x8000u);
-  const std::uint32_t abs = bits & 0x7FFFFFFFu;
-  if (abs >= 0x477FF000u) {  // rounds to >= 2^16 under RNE: saturate
-    return static_cast<std::uint16_t>(sign | 0x7BFFu);
-  }
-  if (abs < 0x38800000u) {  // below the smallest normal half: subnormal/zero
-    if (abs < 0x33000000u) return sign;  // < 2^-25 underflows to ±0
-    const std::uint32_t m24 = (abs & 0x7FFFFFu) | 0x800000u;
-    const int s = 126 - static_cast<int>(abs >> 23);  // 14..24
-    std::uint32_t m = m24 >> s;
-    const std::uint32_t rem = m24 & ((1u << s) - 1u);
-    const std::uint32_t half = 1u << (s - 1);
-    if (rem > half || (rem == half && (m & 1u))) ++m;
-    return static_cast<std::uint16_t>(sign | m);  // m == 1024 rolls to 2^-14
-  }
-  const std::uint32_t exp = abs >> 23;  // normal: rebias 127 → 15, RNE
-  std::uint32_t h = ((exp - 112u) << 10) | ((abs >> 13) & 0x3FFu);
-  const std::uint32_t rem = abs & 0x1FFFu;
-  if (rem > 0x1000u || (rem == 0x1000u && (h & 1u))) ++h;
-  return static_cast<std::uint16_t>(sign | h);
-}
-
-/// Exact widening of binary16 bits (every half is a float).
-[[nodiscard]] inline float f16_bits_to_f32(std::uint16_t h) noexcept {
-  const std::uint32_t sign = static_cast<std::uint32_t>(h & 0x8000u) << 16;
-  const std::uint32_t exp = (h >> 10) & 0x1Fu;
-  const std::uint32_t man = h & 0x3FFu;
-  std::uint32_t bits;
-  if (exp == 0) {
-    if (man == 0) {
-      bits = sign;
-    } else {  // subnormal half: value = man · 2^-24, renormalise
-      const int b = 31 - std::countl_zero(man);  // position of the top bit
-      bits = sign | (static_cast<std::uint32_t>(103 + b) << 23) |
-             ((man << (23 - b)) & 0x7FFFFFu);
-    }
-  } else if (exp == 31) {
-    bits = sign | 0x7F800000u | (man << 13);
-  } else {
-    bits = sign | ((exp + 112u) << 23) | (man << 13);
-  }
-  return std::bit_cast<float>(bits);
-}
 
 /// bfloat16 bits of `f` (top 16 bits of the float, round-to-nearest-even).
 [[nodiscard]] inline std::uint16_t f32_to_bf16_bits(float f) noexcept {
@@ -262,9 +213,6 @@ inline void complex_mul_inplace(std::complex<double>* a,
   return std::bit_cast<float>(static_cast<std::uint32_t>(h) << 16);
 }
 
-/// Largest finite binary16 value; f64→f16 rows clamp here before encoding.
-inline constexpr double kF16Max = 65504.0;
-
 // Scalar reference forms — always compiled, dispatch targets under
 // LC_SIMD=off, and the bit-equality oracle for the vector paths.
 
@@ -276,26 +224,6 @@ inline void row_f64_to_f32_scalar(float* dst, const double* src,
 inline void row_f32_to_f64_scalar(double* dst, const float* src,
                                   std::size_t n) noexcept {
   for (std::size_t i = 0; i < n; ++i) dst[i] = static_cast<double>(src[i]);
-}
-
-inline void row_f64_to_f16_scalar(std::uint16_t* dst, const double* src,
-                                  std::size_t n) noexcept {
-  const auto lo = static_cast<float>(-kF16Max);
-  const auto hi = static_cast<float>(kF16Max);
-  for (std::size_t i = 0; i < n; ++i) {
-    // max/min ordering matches the vector path's (NaN would clamp to lo).
-    float f = static_cast<float>(src[i]);
-    f = f > lo ? f : lo;
-    f = f < hi ? f : hi;
-    dst[i] = f32_to_f16_bits(f);
-  }
-}
-
-inline void row_f16_to_f64_scalar(double* dst, const std::uint16_t* src,
-                                  std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    dst[i] = static_cast<double>(f16_bits_to_f32(src[i]));
-  }
 }
 
 inline void row_f64_to_bf16_scalar(std::uint16_t* dst, const double* src,
@@ -322,9 +250,9 @@ inline void row_bf16_to_f64_scalar(double* dst, const std::uint16_t* src,
   return m;
 }
 
-// Dispatching row forms: AVX2 (+F16C where available) fast paths with the
-// scalar reference as tail and fallback. f64↔f32 conversions are IEEE-exact
-// in both paths; the f16/bf16 paths are bit-equal by the property tests.
+// Dispatching row forms: AVX2 fast paths with the scalar reference as tail
+// and fallback. f64↔f32 conversions are IEEE-exact in both paths; the bf16
+// paths are bit-equal by the property tests.
 
 /// dst[i] = (float)src[i] (round-to-nearest-even narrowing).
 inline void row_f64_to_f32(float* dst, const double* src,
@@ -348,37 +276,6 @@ inline void row_f32_to_f64(double* dst, const float* src,
   }
 #endif
   row_f32_to_f64_scalar(dst + i, src + i, n - i);
-}
-
-/// dst[i] = binary16 bits of clamp(src[i], ±65504), RNE.
-inline void row_f64_to_f16(std::uint16_t* dst, const double* src,
-                           std::size_t n) noexcept {
-  std::size_t i = 0;
-#if defined(LC_SIMD_AVX2) && defined(__F16C__)
-  const __m128 lo = _mm_set1_ps(static_cast<float>(-kF16Max));
-  const __m128 hi = _mm_set1_ps(static_cast<float>(kF16Max));
-  for (; i + 4 <= n; i += 4) {
-    __m128 f = _mm256_cvtpd_ps(_mm256_loadu_pd(src + i));
-    f = _mm_min_ps(_mm_max_ps(f, lo), hi);
-    const __m128i h = _mm_cvtps_ph(f, _MM_FROUND_TO_NEAREST_INT);
-    std::memcpy(dst + i, &h, 4 * sizeof(std::uint16_t));
-  }
-#endif
-  row_f64_to_f16_scalar(dst + i, src + i, n - i);
-}
-
-/// dst[i] = (double) value of binary16 bits src[i] (exact widening).
-inline void row_f16_to_f64(double* dst, const std::uint16_t* src,
-                           std::size_t n) noexcept {
-  std::size_t i = 0;
-#if defined(LC_SIMD_AVX2) && defined(__F16C__)
-  for (; i + 4 <= n; i += 4) {
-    __m128i h = _mm_setzero_si128();
-    std::memcpy(&h, src + i, 4 * sizeof(std::uint16_t));
-    _mm256_storeu_pd(dst + i, _mm256_cvtps_pd(_mm_cvtph_ps(h)));
-  }
-#endif
-  row_f16_to_f64_scalar(dst + i, src + i, n - i);
 }
 
 /// dst[i] = bfloat16 bits of (float)src[i], RNE (integer twiddle — the

@@ -28,18 +28,14 @@ LocalConvolver::LocalConvolver(const Grid3& grid,
   } else {
     fft_n_ = std::make_shared<fft::Fft1D>(static_cast<std::size_t>(grid.nx));
   }
-  real_path_ = config_.real == LocalConvolverConfig::RealPath::kAuto &&
-               op_->hermitian();
-  if (real_path_) {
-    if (config_.real_plan != nullptr) {
-      LC_CHECK_ARG(
-          config_.real_plan->size() == static_cast<std::size_t>(grid.nx),
-          "injected real plan length != grid side");
-      rfft_n_ = config_.real_plan;
-    } else {
-      rfft_n_ =
-          std::make_shared<fft::RealFft1D>(static_cast<std::size_t>(grid.nx));
-    }
+  if (config_.real_plan != nullptr) {
+    LC_CHECK_ARG(
+        config_.real_plan->size() == static_cast<std::size_t>(grid.nx),
+        "injected real plan length != grid side");
+    rfft_n_ = config_.real_plan;
+  } else {
+    rfft_n_ =
+        std::make_shared<fft::RealFft1D>(static_cast<std::size_t>(grid.nx));
   }
 }
 
@@ -128,10 +124,10 @@ std::vector<sampling::CompressedField> LocalConvolver::convolve_channels(
   const auto un = static_cast<std::size_t>(n);
   const auto uk = static_cast<std::size_t>(k);
   const std::size_t plane_elems = un * un;
-  // Real path: spectral planes hold only the nx/2+1 x-bins (Hermitian
-  // half-spectrum), y-major so a z-pencil is a unit-stride run of p.
+  // Spectral planes hold only the nx/2+1 x-bins (Hermitian half-spectrum),
+  // y-major so a z-pencil is a unit-stride run of p.
   const std::size_t nxh = un / 2 + 1;
-  const std::size_t spec_elems = real_path_ ? nxh * un : plane_elems;
+  const std::size_t spec_elems = nxh * un;
   const std::vector<i64> planes = tree->retained_z_planes();
 
   // --- Device-registered buffer footprint (scaled by channel count) ------
@@ -145,13 +141,13 @@ std::vector<sampling::CompressedField> LocalConvolver::convolve_channels(
       config_.device, 2 * nchan * config_.batch * un * sizeof(cplx));
   // cuFFT-like plan workspace model: double-precision c2c plans may need
   // scratch up to twice the transform size — 2× one slab for the batched
-  // 2D plan plus one pencil batch for the z-plan, plus (real path) the N²
-  // real plane the c2r store lane writes (see device::memory_model; the
-  // two models are kept identical so measured peaks match plans).
+  // 2D plan plus one pencil batch for the z-plan, plus the N² real plane
+  // the c2r store lane writes (see device::memory_model; the two models
+  // are kept identical so measured peaks match plans).
   ScopedDeviceAlloc workspace_mem(
-      config_.device,
-      2 * spec_elems * uk * sizeof(cplx) + config_.batch * un * sizeof(cplx) +
-          (real_path_ ? plane_elems * sizeof(double) : 0));
+      config_.device, 2 * spec_elems * uk * sizeof(cplx) +
+                          config_.batch * un * sizeof(cplx) +
+                          plane_elems * sizeof(double));
 
   std::vector<sampling::CompressedField> results;
   results.reserve(nchan);
@@ -191,33 +187,16 @@ std::vector<sampling::CompressedField> LocalConvolver::convolve_channels(
           const std::size_t ch = job / uk;
           const auto zl = static_cast<i64>(job % uk);
           cplx* plane = slab_of(ch) + static_cast<std::size_t>(zl) * spec_elems;
-          if (real_path_) {
-            // r2c straight off the chunk rows: the pruned window supplies
-            // the x zero-padding (no complex scatter at all), rows outside
-            // [corner.y, corner.y + k) keep the slab's zero fill.
-            rfft_n_->forward_batch_pruned(
-                &chunks[ch](0, 0, zl), 1, uk, uk,
-                static_cast<std::size_t>(corner.x),
-                plane + static_cast<std::size_t>(corner.y) * nxh, 1, nxh, uk,
-                ws);
-            // y transform: the nx/2+1 retained x-bins, full length N.
-            fft_n_->forward_batch(plane, nxh, 1, nxh, ws);
-            continue;
-          }
-          // Scatter the chunk slice; the rest of the plane stays zero.
-          for (i64 y = 0; y < k; ++y) {
-            cplx* row = plane +
-                        static_cast<std::size_t>(corner.y + y) * un +
-                        static_cast<std::size_t>(corner.x);
-            for (i64 x = 0; x < k; ++x) {
-              row[x] = cplx{chunks[ch](x, y, zl), 0.0};
-            }
-          }
-          // x transform: only the k nonzero rows need transforming.
-          fft_n_->forward_batch(plane + static_cast<std::size_t>(corner.y) * un,
-                                1, un, static_cast<std::size_t>(k), ws);
-          // y transform: all N pencils (x spectra fill the whole row).
-          fft_n_->forward_batch(plane, un, 1, un, ws);
+          // r2c straight off the chunk rows: the pruned window supplies the
+          // x zero-padding, rows outside [corner.y, corner.y + k) keep the
+          // slab's zero fill.
+          rfft_n_->forward_batch_pruned(
+              &chunks[ch](0, 0, zl), 1, uk, uk,
+              static_cast<std::size_t>(corner.x),
+              plane + static_cast<std::size_t>(corner.y) * nxh, 1, nxh, uk,
+              ws);
+          // y transform: the nx/2+1 retained x-bins, full length N.
+          fft_n_->forward_batch(plane, nxh, 1, nxh, ws);
         }
       });
   }
@@ -234,9 +213,7 @@ std::vector<sampling::CompressedField> LocalConvolver::convolve_channels(
     return staging.data() + (ch * planes.size() + i) * spec_elems;
   };
 
-  // Real path: half as many z-pencils — the tentpole FLOP saving. Pencil
-  // p decodes as (x, y) = (p % nxh, p / nxh) on the half plane.
-  const std::size_t xbins = real_path_ ? nxh : un;
+  // Pencil p decodes as (x, y) = (p % nxh, p / nxh) on the half plane.
   const std::size_t pencils = spec_elems;
   const std::size_t batches = (pencils + config_.batch - 1) / config_.batch;
   {
@@ -267,12 +244,12 @@ std::vector<sampling::CompressedField> LocalConvolver::convolve_channels(
                 static_cast<std::size_t>(corner.z), zbuf + ch * chan_stride,
                 un, np, ws);
           }
-          // Per-bin operator, one vectorized pass per pencil (on the real
-          // path this is the Γ̂·half-spectrum fusion: only x ≤ nx/2 bins
-          // are ever multiplied).
+          // Per-bin operator, one vectorized pass per pencil (the
+          // Γ̂·half-spectrum fusion: only x ≤ nx/2 bins are ever
+          // multiplied).
           for (std::size_t p = 0; p < np; ++p) {
-            const i64 x = static_cast<i64>((p0 + p) % xbins);
-            const i64 y = static_cast<i64>((p0 + p) / xbins);
+            const i64 x = static_cast<i64>((p0 + p) % nxh);
+            const i64 y = static_cast<i64>((p0 + p) / nxh);
             op_->apply_z_pencil(x, y, 0, grid_, zbuf + p * un, un,
                                 chan_stride);
           }
@@ -302,12 +279,11 @@ std::vector<sampling::CompressedField> LocalConvolver::convolve_channels(
       config_.pool, planes.size() * nchan,
       [&](std::size_t lo, std::size_t hi, fft::FftWorkspace& ws) {
         LC_TRACE("convolver.stage3.block");
-        // Real path: the c2r inverse's store lane writes into one leased
-        // N² real plane per block — the octree sampling below reads it
-        // directly, so the full complex plane never exists.
+        // The c2r inverse's store lane writes into one leased N² real
+        // plane per block — the octree sampling below reads it directly,
+        // so the full complex plane never exists.
         auto rplane_lease =
-            !real_path_ ? BufferArena::Lease{}
-            : config_.arena != nullptr
+            config_.arena != nullptr
                 ? config_.arena->acquire(plane_elems * sizeof(double))
                 : BufferArena::unpooled(plane_elems * sizeof(double));
         double* rplane = rplane_lease.as<double>().data();
@@ -315,16 +291,10 @@ std::vector<sampling::CompressedField> LocalConvolver::convolve_channels(
           const std::size_t ch = job / planes.size();
           const std::size_t i = job % planes.size();
           cplx* plane = staging_plane(ch, i);
-          if (real_path_) {
-            // Inverse y over the nx/2+1 x-bins, then c2r rows (fused
-            // Hermitian mirror + real store).
-            fft_n_->inverse_batch(plane, nxh, 1, nxh, ws);
-            rfft_n_->inverse_batch(plane, 1, nxh, rplane, 1, un, un, ws);
-          } else {
-            // Inverse y (pencils, stride N), then inverse x (rows).
-            fft_n_->inverse_batch(plane, un, 1, un, ws);
-            fft_n_->inverse_batch(plane, 1, un, un, ws);
-          }
+          // Inverse y over the nx/2+1 x-bins, then c2r rows (fused
+          // Hermitian mirror + real store).
+          fft_n_->inverse_batch(plane, nxh, 1, nxh, ws);
+          rfft_n_->inverse_batch(plane, 1, nxh, rplane, 1, un, un, ws);
           auto payload = results[ch].samples();
           // Store callback: extract this plane's octree lattice samples.
           for (const auto& [ci, iz] :
@@ -338,7 +308,7 @@ std::vector<sampling::CompressedField> LocalConvolver::convolve_channels(
                 const std::size_t at = static_cast<std::size_t>(yy) * un +
                                        static_cast<std::size_t>(xx);
                 payload[c.sample_offset + c.sample_index(ix, iy, iz)] =
-                    real_path_ ? rplane[at] : plane[at].real();
+                    rplane[at];
               }
             }
           }

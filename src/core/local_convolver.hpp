@@ -3,10 +3,13 @@
 // the result compressed by octree sampling during the inverse stages
 // (paper §3.2 steps 2–3, Fig 2, Fig 4).
 //
-// Program flow (mirrors the paper's CUDA/cuFFT structure):
+// Program flow (mirrors the paper's CUDA/cuFFT structure). The input is
+// real, so every spectral buffer holds only the Hermitian half: the
+// nx/2+1 x-bins of each N×N plane (DESIGN.md §16).
 //   1. xy stage  — the k nonzero z-slices of each channel are zero-padded
 //      to N×N (padding is per 1D call; the full padded N³ array never
-//      exists) and 2D-transformed into an N×N×k slab per channel.
+//      exists), r2c-transformed along x and transformed along y into a
+//      (N/2+1)×N×k slab per channel.
 //   2. z stage   — B pencils at a time ("batch parameter", §5.4): each
 //      (ξx, ξy) pencil is input-pruned forward-transformed to length N
 //      (only k inputs are nonzero), the spectral operator is applied per
@@ -14,9 +17,10 @@
 //      contraction), the pencil is inverse-transformed, and only the
 //      octree's retained z-planes are scattered into staging — the
 //      load/store-callback role of the cuFFT callbacks in Fig 4.
-//   3. plane stage — each retained z-plane is 2D inverse-transformed and
-//      the octree's (x, y) lattice samples are stored into the compressed
-//      payload. The dense N³ result is never materialised.
+//   3. plane stage — each retained z-plane is inverse-transformed along y
+//      and c2r along x, and the octree's (x, y) lattice samples are stored
+//      into the compressed payload. The dense N³ result is never
+//      materialised.
 //
 // Every sample the pipeline keeps is an *exact* value of the circular
 // convolution; approximation error enters only at interpolation time.
@@ -37,13 +41,6 @@ namespace lc::core {
 
 /// Tuning and instrumentation knobs for the local pipeline.
 struct LocalConvolverConfig {
-  /// Hermitian half-spectrum dispatch (DESIGN.md §16). kAuto — the default
-  /// — takes the r2c/c2r path exactly when the operator is
-  /// Hermitian-symmetric, transforming only the nx/2+1 x-bins; kOff forces
-  /// the full complex path (the bit-exact ground truth the real path is
-  /// validated against).
-  enum class RealPath { kAuto, kOff };
-
   /// z-pencils transformed per batch (the paper's B; §5.4).
   std::size_t batch = 1024;
   /// Thread pool for intra-worker parallelism (nullptr → serial).
@@ -54,14 +51,12 @@ struct LocalConvolverConfig {
   /// Pre-built length-N plan shared across engines (the runtime plan
   /// cache's reuse hook); must match the grid side. Null → build our own.
   std::shared_ptr<const fft::Fft1D> plan;
-  /// Pre-built length-N r2c/c2r plan (plan-cache hook for the real path);
-  /// must match the grid side. Null → built on demand when active.
+  /// Pre-built length-N r2c/c2r plan for the x axis (the same plan-cache
+  /// hook); must match the grid side. Null → build our own.
   std::shared_ptr<const fft::RealFft1D> real_plan;
   /// Optional scratch recycler: slab and staging buffers are leased from it
   /// instead of allocated per call. Null → plain per-call allocation.
   BufferArena* arena = nullptr;
-  /// See RealPath.
-  RealPath real = RealPath::kAuto;
 };
 
 /// Immutable local convolution engine for a fixed grid and operator.
@@ -82,11 +77,6 @@ class LocalConvolver {
   }
   [[nodiscard]] const SpectralOperator& op() const noexcept { return *op_; }
 
-  /// True when this engine runs the Hermitian half-spectrum (r2c/c2r)
-  /// pipeline — decided once at construction from config().real and the
-  /// operator's hermitian() predicate.
-  [[nodiscard]] bool uses_real_path() const noexcept { return real_path_; }
-
   /// Convolve C tight k³ channel chunks whose origin sits at `corner` of
   /// the global grid, compressing each channel's N³ result through `tree`
   /// (whose sub-domain must be the chunk box).
@@ -103,12 +93,12 @@ class LocalConvolver {
   Grid3 grid_;
   std::shared_ptr<const SpectralOperator> op_;
   LocalConvolverConfig config_;
-  // Length-N plan shared by every axis (cubic grid); either injected via
+  // Length-N plan for the y and z axes (cubic grid); either injected via
   // LocalConvolverConfig::plan or built here.
   std::shared_ptr<const fft::Fft1D> fft_n_;
-  // Length-N r2c/c2r plan for the x axis; non-null iff real_path_.
+  // Length-N r2c/c2r plan for the x axis; injected via
+  // LocalConvolverConfig::real_plan or built here.
   std::shared_ptr<const fft::RealFft1D> rfft_n_;
-  bool real_path_ = false;
 };
 
 /// RAII registration of `bytes` against an optional device context.

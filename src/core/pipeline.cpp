@@ -314,8 +314,7 @@ RealField distributed_lowcomm_convolve(
     rec->pred_wire_s = times.total_seconds();
 
     // Compute model: the representative central sub-domain's octree, the
-    // same formula the planner prices with (obs::modeled_point_passes). The
-    // half-spectrum scale follows what this run will actually execute.
+    // same formula the planner prices with (obs::modeled_point_passes).
     const DomainDecomposition& decomp = plan.decomposition();
     const auto blocks = static_cast<std::size_t>(grid.nx / params.subdomain);
     const std::size_t mid = blocks / 2;
@@ -326,8 +325,7 @@ RealField distributed_lowcomm_convolve(
                   static_cast<double>(std::max(workers, 1)));
     rec->pred_point_passes =
         owned * obs::modeled_point_passes(grid.nx, params.subdomain,
-                                          central.retained_z_planes().size(),
-                                          kernel->hermitian());
+                                          central.retained_z_planes().size());
     rec->pred_rate_pps = 2e8;  // PlanRequest::compute_rate_pps default
     rec->pred_compute_s = rec->pred_point_passes / rec->pred_rate_pps;
     rec->pred_memory_b = static_cast<std::int64_t>(

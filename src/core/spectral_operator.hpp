@@ -20,7 +20,11 @@ namespace lc::core {
 
 using fft::cplx;
 
-/// In-place per-bin operator on a fixed number of channels.
+/// In-place per-bin operator on a fixed number of channels. The operator
+/// is the spectrum of a real kernel: it maps conjugate-symmetric channel
+/// spectra to conjugate-symmetric ones. The local pipeline relies on that:
+/// it applies the operator only at the bins x ≤ nx/2 and lets its c2r stage
+/// supply the mirror half (DESIGN.md §16).
 class SpectralOperator {
  public:
   virtual ~SpectralOperator() = default;
@@ -57,13 +61,6 @@ class SpectralOperator {
   }
 
   [[nodiscard]] virtual std::string name() const = 0;
-
-  /// True iff the operator maps Hermitian-symmetric channel spectra to
-  /// Hermitian-symmetric channel spectra — the precondition for the
-  /// half-spectrum (r2c/c2r) pipeline, which computes only the
-  /// x ∈ [0, nx/2] bins and lets c2r reconstitute the mirror half
-  /// (DESIGN.md §16). Defaults to false: the complex path is always valid.
-  [[nodiscard]] virtual bool hermitian() const { return false; }
 };
 
 /// Adapts a scalar KernelSpectrum to the operator interface (1 channel).
@@ -98,9 +95,6 @@ class ScalarKernelOperator final : public SpectralOperator {
   }
 
   [[nodiscard]] std::string name() const override { return kernel_->name(); }
-  [[nodiscard]] bool hermitian() const override {
-    return kernel_->hermitian();
-  }
 
   [[nodiscard]] const green::KernelSpectrum& kernel() const noexcept {
     return *kernel_;

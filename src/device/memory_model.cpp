@@ -28,10 +28,10 @@ std::size_t local_fft_slab_bytes(i64 n, i64 k) {
 
 namespace {
 
-/// Elements per spectral z-slice: the full N² plane, or the Hermitian
-/// half plane (nx/2+1)·N when the r2c/c2r path is active. Must mirror
-/// LocalConvolver's `spec_elems` exactly (bench_table4 asserts measured
-/// peak == planned actual).
+/// Elements per spectral z-slice: the Hermitian half plane (nx/2+1)·N the
+/// engine stores (must mirror LocalConvolver's `spec_elems` exactly;
+/// bench_table4 asserts measured peak == planned actual), or the paper's
+/// full c2c N² plane.
 std::size_t spec_plane_elems(i64 n, bool real_path) {
   return real_path ? (static_cast<std::size_t>(n) / 2 + 1) *
                          static_cast<std::size_t>(n)
@@ -74,21 +74,21 @@ PipelinePlan plan_local_pipeline(i64 n, i64 k,
 }
 
 PipelinePlan estimate_local_pipeline(i64 n, i64 k, i64 far_rate,
-                                     std::size_t batch, bool real_path) {
+                                     std::size_t batch) {
   LC_CHECK_ARG(k >= 1 && k <= n, "sub-domain size outside grid");
   LC_CHECK_ARG(far_rate >= 1, "far rate must be >= 1");
   const auto r = static_cast<std::size_t>(far_rate);
 
   PipelinePlan plan;
   plan.chunk_bytes = kReal * cube(k);
-  plan.slab_bytes =
-      kComplex * spec_plane_elems(n, real_path) * static_cast<std::size_t>(k);
+  const std::size_t plane_elems = spec_plane_elems(n, /*real_path=*/true);
+  plan.slab_bytes = kComplex * plane_elems * static_cast<std::size_t>(k);
   // Dense core planes plus one exterior plane every r grid planes.
   const std::size_t planes =
       std::min(static_cast<std::size_t>(n),
                static_cast<std::size_t>(k) +
                    (static_cast<std::size_t>(n - k) + r - 1) / r + 1);
-  plan.staging_bytes = kComplex * spec_plane_elems(n, real_path) * planes;
+  plan.staging_bytes = kComplex * plane_elems * planes;
   plan.pencil_bytes = 2 * kComplex * batch * static_cast<std::size_t>(n);
   // Eqn 6: the dense k³ core plus the rate-r downsampled exterior.
   plan.payload_bytes =
@@ -96,8 +96,8 @@ PipelinePlan estimate_local_pipeline(i64 n, i64 k, i64 far_rate,
   const std::size_t tile = static_cast<std::size_t>(std::max(k, far_rate));
   plan.metadata_bytes =
       (cube(n) / (tile * tile * tile) + 64) * 5 * sizeof(std::int32_t);
-  plan.workspace_bytes = 2 * plan.slab_bytes + plan.pencil_bytes / 2 +
-                         (real_path ? kReal * square(n) : 0);
+  plan.workspace_bytes =
+      2 * plan.slab_bytes + plan.pencil_bytes / 2 + kReal * square(n);
   return plan;
 }
 

@@ -48,19 +48,20 @@ struct PipelinePlan {
 /// Table 1, column "local FFT (ours)": the N×N×k slab.
 [[nodiscard]] std::size_t local_fft_slab_bytes(i64 n, i64 k);
 
-/// Spectrum footprint of the slab as the pipeline actually stores it:
-/// complex bins, the full N×N×k (c2c) or the Hermitian half (N/2+1)×N×k
-/// (r2c, DESIGN.md §16). The r2c footprint lands within one Nyquist
-/// column of the paper's 8·N²·k real-slab figure.
+/// Spectrum footprint of the slab in complex bins: the Hermitian half
+/// (N/2+1)×N×k the pipeline stores (r2c, DESIGN.md §16), or, with
+/// `real_path` false, the full N×N×k of the paper's c2c pipeline (Table 1's
+/// comparison column). The r2c footprint lands within one Nyquist column
+/// of the paper's 8·N²·k real-slab figure.
 [[nodiscard]] std::size_t local_fft_spectrum_bytes(i64 n, i64 k,
                                                    bool real_path);
 
 /// Full allocation plan of the local pipeline for one k³ sub-domain of an
-/// n³ grid under `policy`, with z-pencil batch size `batch`. `real_path`
-/// prices the Hermitian half-spectrum pipeline (slab/staging hold only the
-/// nx/2+1 x-bins, plus the c2r store lane's N² real plane) and defaults to
-/// true so plans match what a Hermitian-operator engine actually allocates;
-/// pass false to price the full complex path.
+/// n³ grid under `policy`, with z-pencil batch size `batch`. The default
+/// prices the half-spectrum pipeline the engine runs (slab/staging hold
+/// only the nx/2+1 x-bins, plus the c2r store lane's N² real plane);
+/// `real_path` false prices the paper's full c2c pipeline instead, for the
+/// paper columns of Table 4.
 [[nodiscard]] PipelinePlan plan_local_pipeline(
     i64 n, i64 k, const sampling::SamplingPolicy& policy, std::size_t batch,
     bool real_path = true);
@@ -72,8 +73,9 @@ struct PipelinePlan {
 /// dominant slab / pencil / workspace terms are identical to the exact
 /// plan's. Used where n may not be a power of two (the divisor fallback in
 /// core::select_hyperparams).
-[[nodiscard]] PipelinePlan estimate_local_pipeline(
-    i64 n, i64 k, i64 far_rate, std::size_t batch, bool real_path = true);
+[[nodiscard]] PipelinePlan estimate_local_pipeline(i64 n, i64 k,
+                                                   i64 far_rate,
+                                                   std::size_t batch);
 
 /// Planning downsampling rate: the paper coarsens r with the problem ratio
 /// (r = 4 at N/k = 4 up to r = 128 at N = 2048 in Table 4). Clamped to

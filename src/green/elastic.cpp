@@ -44,7 +44,29 @@ Green4 elastic_green_at_bin(const Index3& bin, const Grid3& g,
   const fft::Freq3 omega{fft::angular_frequency(bin.x, g.nx),
                          fft::angular_frequency(bin.y, g.ny),
                          fft::angular_frequency(bin.z, g.nz)};
-  return elastic_green_operator(omega, ref);
+  Green4 gamma = elastic_green_operator(omega, ref);
+  // Bin Γ̂'s Hermitian part H(ξ) = (Γ̂(ξ) + conj Γ̂(−ξ))/2. A Nyquist bin
+  // n/2 and its mirror both map to ω = +π, so Γ̂(mirror(bin)) is Γ̂ at ω
+  // with its Nyquist components negated and the raw Γ̂ is not conjugate-
+  // symmetric there. With H, the half-spectrum pipeline (x ≤ nx/2, c2r
+  // supplies the mirror) computes exactly Re(IFFT(Γ̂ · X̂)) of a real input.
+  // Each term of Γ̂_ijkl is odd in an axis's component iff the axis occurs
+  // an odd number of times in (i, j, k, l), so H is Γ̂ with the entries that
+  // name the Nyquist axes an odd number of times set to zero.
+  const std::array<bool, 3> nyquist{g.nx % 2 == 0 && bin.x == g.nx / 2,
+                                    g.ny % 2 == 0 && bin.y == g.ny / 2,
+                                    g.nz % 2 == 0 && bin.z == g.nz / 2};
+  if (!nyquist[0] && !nyquist[1] && !nyquist[2]) return gamma;
+  for (std::size_t a = 0; a < 6; ++a) {
+    const auto [i, j] = voigt_pair(a);
+    for (std::size_t b = 0; b < 6; ++b) {
+      const auto [k, l] = voigt_pair(b);
+      if ((nyquist[i] + nyquist[j] + nyquist[k] + nyquist[l]) % 2 != 0) {
+        gamma.m[a][b] = 0.0;
+      }
+    }
+  }
+  return gamma;
 }
 
 Sym2c apply_green(const Green4& gamma, const Sym2c& sigma_hat) {

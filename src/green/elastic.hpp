@@ -21,7 +21,10 @@ namespace lc::green {
 [[nodiscard]] Green4 elastic_green_operator(const fft::Freq3& omega,
                                             const Lame& ref);
 
-/// Γ̂ at DFT bin `bin` of grid `g` (uses the grid's angular frequencies).
+/// Γ̂ at DFT bin `bin` of grid `g` (uses the grid's angular frequencies),
+/// binned as its Hermitian part: on a Nyquist plane the entries that are
+/// odd in the Nyquist components are zero (see elastic.cpp). Off the
+/// Nyquist planes this is elastic_green_operator itself.
 [[nodiscard]] Green4 elastic_green_at_bin(const Index3& bin, const Grid3& g,
                                           const Lame& ref);
 

@@ -35,8 +35,6 @@ class GaussianSpectrum final : public KernelSpectrum {
                   std::span<cplx> out) const override;
   [[nodiscard]] std::string name() const override { return "gaussian"; }
   [[nodiscard]] std::string cache_key() const override;
-  /// Real even kernel → real even spectrum → Hermitian.
-  [[nodiscard]] bool hermitian() const override { return true; }
 
   [[nodiscard]] double sigma() const noexcept { return sigma_; }
 

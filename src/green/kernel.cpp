@@ -19,48 +19,6 @@ ComplexField KernelSpectrum::materialize_half(const Grid3& g) const {
   return out;
 }
 
-namespace {
-
-/// Hermitian-symmetry scan: |Ĝ((N−ξ) mod N) − conj(Ĝ(ξ))| ≤ 1e-12·max|Ĝ|
-/// at every bin. Only bins with x ≤ nx/2 are visited (the mirror pair
-/// covers the rest).
-bool spectrum_is_hermitian(const ComplexField& hat) {
-  const Grid3& g = hat.grid();
-  double scale = 1.0;
-  for (const cplx& v : hat.span()) scale = std::max(scale, std::abs(v));
-  const double tol = 1e-12 * scale;
-  for (i64 z = 0; z < g.nz; ++z) {
-    for (i64 y = 0; y < g.ny; ++y) {
-      for (i64 x = 0; x <= g.nx / 2; ++x) {
-        const cplx mirror =
-            hat((g.nx - x) % g.nx, (g.ny - y) % g.ny, (g.nz - z) % g.nz);
-        if (std::abs(mirror - std::conj(hat(x, y, z))) > tol) return false;
-      }
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-DenseSpectrum::DenseSpectrum(ComplexField spectrum, std::string name)
-    : hat_(std::move(spectrum)),
-      name_(std::move(name)),
-      hermitian_(spectrum_is_hermitian(hat_)) {}
-
-cplx DenseSpectrum::eval(const Index3& bin, const Grid3& g) const {
-  LC_CHECK_ARG(hat_.grid() == g, "dense spectrum grid mismatch");
-  return hat_(bin);
-}
-
-void DenseSpectrum::eval_z_run(const Index3& start, const Grid3& g,
-                               std::span<cplx> out) const {
-  LC_CHECK_ARG(hat_.grid() == g, "dense spectrum grid mismatch");
-  for (std::size_t t = 0; t < out.size(); ++t) {
-    out[t] = hat_({start.x, start.y, start.z + static_cast<i64>(t)});
-  }
-}
-
 HalfDenseSpectrum::HalfDenseSpectrum(ComplexField half, const Grid3& full,
                                      std::string name)
     : hat_(std::move(half)), full_(full), name_(std::move(name)) {

@@ -19,7 +19,11 @@ namespace lc::green {
 
 using cplx = std::complex<double>;
 
-/// A scalar convolution kernel given by its DFT on an N^3 grid.
+/// A scalar convolution kernel given by its DFT on an N^3 grid. The kernel
+/// is real, so its spectrum is conjugate-symmetric:
+/// Ĝ((N − ξ) mod N) == conj(Ĝ(ξ)). The local pipeline relies on that: it
+/// reads only the bins x ≤ nx/2 and lets its c2r stage supply the mirror
+/// half (DESIGN.md §16).
 class KernelSpectrum {
  public:
   virtual ~KernelSpectrum() = default;
@@ -48,51 +52,19 @@ class KernelSpectrum {
   /// default is name(), which suffices only for parameter-free kernels).
   [[nodiscard]] virtual std::string cache_key() const { return name(); }
 
-  /// True iff the spectrum is Hermitian-symmetric on every grid it accepts:
-  /// Ĝ((N − ξ) mod N) == conj(Ĝ(ξ)), i.e. the spatial kernel is real. This
-  /// is the precondition for the half-spectrum (r2c/c2r) execution path,
-  /// which stores only the x ∈ [0, nx/2] bins and lets c2r supply the
-  /// mirror half (DESIGN.md §16). Defaults to false — the full complex
-  /// path is always valid.
-  [[nodiscard]] virtual bool hermitian() const { return false; }
-
   /// Materialise the full dense spectrum (test/baseline use).
   [[nodiscard]] ComplexField materialize(const Grid3& g) const;
 
-  /// Materialise only the Hermitian half grid: a (nx/2 + 1) × ny × nz field
-  /// holding Ĝ at bins x ∈ [0, nx/2]. Only meaningful for hermitian()
-  /// kernels (the dropped mirror bins are then redundant); halves the
-  /// cached-spectrum bytes relative to materialize().
+  /// Materialise only the half grid the pipeline reads: a
+  /// (nx/2 + 1) × ny × nz field holding Ĝ at bins x ∈ [0, nx/2] — half the
+  /// bytes of materialize(); conjugate symmetry gives the rest.
   [[nodiscard]] ComplexField materialize_half(const Grid3& g) const;
 };
 
-/// Dense spectrum wrapper: adapts a precomputed ComplexField to the
-/// KernelSpectrum interface (e.g. a numerically transformed kernel).
-class DenseSpectrum final : public KernelSpectrum {
- public:
-  explicit DenseSpectrum(ComplexField spectrum, std::string name = "dense");
-
-  [[nodiscard]] cplx eval(const Index3& bin, const Grid3& g) const override;
-  void eval_z_run(const Index3& start, const Grid3& g,
-                  std::span<cplx> out) const override;
-  [[nodiscard]] std::string name() const override { return name_; }
-  /// Detected at construction: a numerically transformed real kernel is
-  /// Hermitian to rounding, which the scan accepts (1e-12 relative).
-  [[nodiscard]] bool hermitian() const override { return hermitian_; }
-
-  [[nodiscard]] const ComplexField& spectrum() const noexcept { return hat_; }
-
- private:
-  ComplexField hat_;
-  std::string name_;
-  bool hermitian_;
-};
-
-/// Half-grid dense spectrum: a materialised Hermitian spectrum storing only
-/// the x ∈ [0, nx/2] bins of logical grid `full` ((nx/2+1) · ny · nz values
-/// — half the ResourceCache footprint of DenseSpectrum). eval() serves the
-/// mirror half via conjugate symmetry, so it remains a drop-in
-/// KernelSpectrum for the complex path too.
+/// Half-grid dense spectrum: a materialised spectrum storing only the
+/// x ∈ [0, nx/2] bins of logical grid `full` ((nx/2+1) · ny · nz values).
+/// eval() serves the mirror half via conjugate symmetry, so it is a
+/// drop-in KernelSpectrum on every bin of the full grid.
 class HalfDenseSpectrum final : public KernelSpectrum {
  public:
   /// `half` must have shape (full.nx/2 + 1, full.ny, full.nz) — typically
@@ -104,7 +76,6 @@ class HalfDenseSpectrum final : public KernelSpectrum {
   void eval_z_run(const Index3& start, const Grid3& g,
                   std::span<cplx> out) const override;
   [[nodiscard]] std::string name() const override { return name_; }
-  [[nodiscard]] bool hermitian() const override { return true; }
 
   [[nodiscard]] const ComplexField& half_spectrum() const noexcept {
     return hat_;

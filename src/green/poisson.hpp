@@ -21,8 +21,6 @@ class PoissonGreenSpectrum final : public KernelSpectrum {
   [[nodiscard]] std::string name() const override {
     return discrete_ ? "poisson-fd" : "poisson-spectral";
   }
-  /// 1/|ω|² is real and even in ξ → Hermitian (both discretisations).
-  [[nodiscard]] bool hermitian() const override { return true; }
 
  private:
   bool discrete_;

@@ -3,7 +3,9 @@
 // ElasticGreenOperator is the 6-channel per-bin contraction
 // Δε̂ = Γ̂(ξ) : σ̂(ξ) (paper Algorithm 1/2, Eqn 3), evaluated on the fly
 // from the closed form — nothing per-bin is precomputed or stored, the
-// paper's key memory saving for the kernel.
+// paper's key memory saving for the kernel. Both classes read Γ̂ through
+// green::elastic_green_at_bin, which bins its Hermitian part, so they run
+// on the half-spectrum pipeline like every scalar kernel.
 //
 // ElasticGreenComponentKernel exposes a single Γ̂ Voigt component as a
 // scalar kernel for per-component pipelines and ablation benches.
@@ -35,16 +37,6 @@ class ElasticGreenOperator final : public core::SpectralOperator {
   }
 
   [[nodiscard]] std::string name() const override { return "elastic-green"; }
-  /// NOT Hermitian as binned, despite Γ̂ being real and even in ω: the
-  /// signed-frequency convention maps the Nyquist bin n/2 to +π on every
-  /// axis, so cross terms like ξ_x ξ_y at a mirrored bin pair (x, n/2, z) /
-  /// (n−x, n/2, n−z) keep the SAME sign of ξ_y where conjugate symmetry
-  /// needs the opposite — Γ̂(mirror(bin)) ≠ Γ̂(−ω(bin)) on the Nyquist
-  /// planes. The complex pipeline applies that convention everywhere and
-  /// keeps .real() at the end (matching the dense MASSIF reference
-  /// bit-for-bit); an r2c half-spectrum run would implicitly Hermitianize
-  /// and diverge by O(1/n). So this operator stays on the complex path.
-  [[nodiscard]] bool hermitian() const override { return false; }
 
   [[nodiscard]] const Lame& reference() const noexcept { return ref_; }
 
@@ -69,9 +61,6 @@ class ElasticGreenComponentKernel final : public green::KernelSpectrum {
   [[nodiscard]] std::string name() const override {
     return "gamma[" + std::to_string(a_) + "][" + std::to_string(b_) + "]";
   }
-  /// Same Nyquist cross-term asymmetry as ElasticGreenOperator (see above):
-  /// real and even in ω, but not conjugate-symmetric as binned.
-  [[nodiscard]] bool hermitian() const override { return false; }
 
  private:
   std::size_t a_;

@@ -95,21 +95,18 @@ struct PlanOutcome {
 /// Shared compute model: transform point-passes for one k³ sub-domain of an
 /// N³ problem whose octree retains `planes` z-planes. The xy stage touches
 /// n²·k points, the z stage runs every pencil (n³), and only the retained
-/// planes return through the 2D inverse; log₂n passes each; the Hermitian
-/// half-spectrum path scales all three by (n/2+1)/n. This is THE formula the
-/// planner prices compute with — pipeline telemetry uses the same function
-/// so a rate fitted from history is directly substitutable for
-/// PlanRequest::compute_rate_pps.
+/// planes return through the 2D inverse; log₂n passes each; the
+/// half-spectrum pipeline scales all three by (n/2+1)/n. This is THE
+/// formula the planner prices compute with — pipeline telemetry uses the
+/// same function so a rate fitted from history is directly substitutable
+/// for PlanRequest::compute_rate_pps.
 [[nodiscard]] inline double modeled_point_passes(std::int64_t n,
                                                  std::int64_t k,
-                                                 std::size_t planes,
-                                                 bool half_spectrum) {
+                                                 std::size_t planes) {
   const double lg = std::log2(static_cast<double>(n));
   const double n2 = static_cast<double>(n) * static_cast<double>(n);
   const double real_scale =
-      half_spectrum
-          ? static_cast<double>(n / 2 + 1) / static_cast<double>(n)
-          : 1.0;
+      static_cast<double>(n / 2 + 1) / static_cast<double>(n);
   return (n2 * static_cast<double>(k) + n2 * static_cast<double>(n) +
           n2 * static_cast<double>(planes)) *
          lg * real_scale;

@@ -106,10 +106,8 @@ CandidateCost price_block(const PlanRequest& req, const Candidate& c,
   // Compute model in transform point-passes — obs::modeled_point_passes is
   // the single source shared with the telemetry emitter, so a rate fitted
   // from plan-vs-actual history (planner/calibration.hpp) is directly
-  // substitutable for req.compute_rate_pps. Priced on the half spectrum,
-  // which every Hermitian kernel runs.
-  const double per_subdomain =
-      obs::modeled_point_passes(n, k, shape.planes, /*real_path=*/true);
+  // substitutable for req.compute_rate_pps.
+  const double per_subdomain = obs::modeled_point_passes(n, k, shape.planes);
   cost.compute_rate_pps = req.compute_rate_pps;
   cost.compute_seconds = owned * per_subdomain / req.compute_rate_pps;
 

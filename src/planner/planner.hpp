@@ -138,10 +138,8 @@ struct PlannerConfig {
   std::vector<i64> rate_grid = {2, 4, 8, 16, 32};
   /// Wire codecs tried per (k, schedule, r) block candidate; each one's
   /// quantization error joins the accuracy screen and its wire bytes the
-  /// α-β pricing. The default spans the useful spectrum: off (bit-exact),
-  /// fp32, bf16, q16. fp16 is left out because its ±65504 range clamp makes
-  /// its error data-dependent; it stays selectable as a pinned
-  /// LowCommParams::wire or an explicit grid.
+  /// α-β pricing. The default is every codec: off (bit-exact), fp32, bf16,
+  /// q16.
   std::vector<comm::WireCodec> codec_grid = {
       comm::WireCodec::kOff, comm::WireCodec::kFp32, comm::WireCodec::kBf16,
       comm::WireCodec::kQ16};

@@ -274,64 +274,39 @@ ConvolutionService::engine_for(const ConvolutionRequest& request,
                                bool& cache_hit) {
   const Grid3& grid = request.input.grid();
 
-  // Hermitian kernels run the half-spectrum pipeline, so the cached
-  // materialisation stores only the (nx/2+1)·ny·nz half grid — half the
-  // ResourceCache bytes of a full DenseSpectrum.
-  const bool real_dispatch = request.kernel->hermitian();
+  // The pipeline reads only the x ≤ nx/2 bins, so a materialised spectrum
+  // stores just the (nx/2+1)·ny·nz half grid.
   std::shared_ptr<const green::KernelSpectrum> kernel = request.kernel;
   if (config_.materialize_spectra) {
-    const std::size_t full_bytes =
-        grid.size() * sizeof(std::complex<double>) +
-        sizeof(green::DenseSpectrum);
-    if (real_dispatch) {
-      const std::string spectrum_key =
-          "spectrum-half/n=" + std::to_string(grid.nx) +
-          "/kernel=" + kernel->cache_key();
-      const Grid3 half{grid.nx / 2 + 1, grid.ny, grid.nz};
-      const std::size_t bytes =
-          half.size() * sizeof(std::complex<double>) +
-          sizeof(green::HalfDenseSpectrum);
-      kernel = cache_.get_or_build<green::HalfDenseSpectrum>(
-          spectrum_key, bytes,
-          [&]() -> std::shared_ptr<const green::HalfDenseSpectrum> {
-            obs::Registry::global()
-                .counter("spectrum.half_bytes_saved")
-                .add(full_bytes - bytes);
-            return std::make_shared<green::HalfDenseSpectrum>(
-                request.kernel->materialize_half(grid), grid,
-                request.kernel->name());
-          });
-    } else {
-      const std::string spectrum_key =
-          "spectrum/n=" + std::to_string(grid.nx) +
-          "/kernel=" + kernel->cache_key();
-      kernel = cache_.get_or_build<green::DenseSpectrum>(
-          spectrum_key, full_bytes,
-          [&]() -> std::shared_ptr<const green::DenseSpectrum> {
-            return std::make_shared<green::DenseSpectrum>(
-                request.kernel->materialize(grid), request.kernel->name());
-          });
-    }
+    const std::string spectrum_key =
+        "spectrum-half/n=" + std::to_string(grid.nx) +
+        "/kernel=" + kernel->cache_key();
+    const Grid3 half{grid.nx / 2 + 1, grid.ny, grid.nz};
+    const std::size_t bytes = half.size() * sizeof(std::complex<double>) +
+                              sizeof(green::HalfDenseSpectrum);
+    kernel = cache_.get_or_build<green::HalfDenseSpectrum>(
+        spectrum_key, bytes,
+        [&]() -> std::shared_ptr<const green::HalfDenseSpectrum> {
+          return std::make_shared<green::HalfDenseSpectrum>(
+              request.kernel->materialize_half(grid), grid,
+              request.kernel->name());
+        });
   }
 
-  // The length-N plan is the most reusable resource of all: every engine
-  // over an N³ grid shares one, whatever its kernel or sampling policy.
+  // The length-N plans are the most reusable resources of all: every engine
+  // over an N³ grid shares them, whatever its kernel or sampling policy.
   const std::size_t n = static_cast<std::size_t>(grid.nx);
   const auto plan = cache_.get_or_build<fft::Fft1D>(
       "plan/n=" + std::to_string(n), plan_bytes_estimate(n),
       [&]() -> std::shared_ptr<const fft::Fft1D> {
         return std::make_shared<fft::Fft1D>(n);
       });
-  // The r2c/c2r plan rides the same cache when the real path is active
-  // (its embedded half-length complex plan is the heavy part).
-  std::shared_ptr<const fft::RealFft1D> real_plan;
-  if (real_dispatch) {
-    real_plan = cache_.get_or_build<fft::RealFft1D>(
-        "plan-real/n=" + std::to_string(n), plan_bytes_estimate(n / 2) + n / 2,
-        [&]() -> std::shared_ptr<const fft::RealFft1D> {
-          return std::make_shared<fft::RealFft1D>(n);
-        });
-  }
+  // The r2c/c2r plan's embedded half-length complex plan is the heavy part.
+  const auto real_plan = cache_.get_or_build<fft::RealFft1D>(
+      "plan-real/n=" + std::to_string(n), plan_bytes_estimate(n / 2) + n / 2,
+      [&]() -> std::shared_ptr<const fft::RealFft1D> {
+        return std::make_shared<fft::RealFft1D>(n);
+      });
 
   // Engines are accounted at metadata size only: their heavy parts (plan,
   // spectrum, octrees) are separate cache entries with their own budgets.

@@ -69,7 +69,7 @@ struct ServiceConfig {
   /// Memoise full responses by content hash (exact-replay hits skip the
   /// pipeline entirely — the serving layer's biggest win).
   bool cache_results = true;
-  /// Materialise kernel spectra into cached dense tables instead of
+  /// Materialise kernel spectra into cached half-grid tables instead of
   /// evaluating the closed form per bin (trades device bytes for per-bin
   /// work; only worth it for expensive kernels).
   bool materialize_spectra = false;

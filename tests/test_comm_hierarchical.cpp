@@ -826,8 +826,7 @@ TEST_F(LowCommPipelineWire, LossyCodecsStayCloseToOff) {
       off_cluster, input, g, kernel, p);
 
   for (const WireCodec codec :
-       {WireCodec::kFp32, WireCodec::kFp16, WireCodec::kBf16,
-        WireCodec::kQ16}) {
+       {WireCodec::kFp32, WireCodec::kBf16, WireCodec::kQ16}) {
     p.wire = codec;
     SimCluster cluster(topo);
     const RealField got =

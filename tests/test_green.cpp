@@ -2,6 +2,8 @@
 // kernel, and the elastic Green operator of Eqn 3.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/rng.hpp"
@@ -11,6 +13,7 @@
 #include "green/gaussian.hpp"
 #include "green/kernel.hpp"
 #include "green/poisson.hpp"
+#include "massif/green_operator.hpp"
 
 namespace lc::green {
 namespace {
@@ -103,36 +106,78 @@ TEST(Gaussian, WrongGridThrows) {
   EXPECT_THROW(GaussianSpectrum(Grid3{8, 8, 8}, -1.0), InvalidArgument);
 }
 
-TEST(DenseSpectrum, WrapsField) {
-  const Grid3 g{4, 4, 4};
-  ComplexField f(g);
-  f(1, 2, 3) = cplx{5.0, -1.0};
-  const DenseSpectrum spec(std::move(f), "test");
-  EXPECT_EQ(spec.eval({1, 2, 3}, g), (cplx{5.0, -1.0}));
-  EXPECT_EQ(spec.name(), "test");
+// --- Conjugate symmetry & half-spectrum storage (DESIGN.md §16) ----------
+
+/// Mirror bin (N − ξ) mod N of `bin` on grid `g`.
+Index3 mirror_bin(const Index3& bin, const Grid3& g) {
+  return {(g.nx - bin.x) % g.nx, (g.ny - bin.y) % g.ny, (g.nz - bin.z) % g.nz};
 }
 
-// --- Hermitian predicates & half-spectrum storage (DESIGN.md §16) ---------
+/// max |Ĝ(mirror(ξ)) − conj Ĝ(ξ)| over every bin of `g`, relative to
+/// max |Ĝ|: zero for the spectrum of a real kernel.
+double conjugate_symmetry_defect(const KernelSpectrum& kernel,
+                                 const Grid3& g) {
+  double defect = 0.0;
+  double scale = 0.0;
+  for_each_point(Box3::of(g), [&](const Index3& p) {
+    const cplx v = kernel.eval(p, g);
+    scale = std::max(scale, std::abs(v));
+    const cplx mirror = kernel.eval(mirror_bin(p, g), g);
+    defect = std::max(defect, std::abs(mirror - std::conj(v)));
+  });
+  return scale > 0.0 ? defect / scale : defect;
+}
 
-TEST(Hermitian, KernelFlagsAndDenseAutoDetection) {
-  const Grid3 g = Grid3::cube(8);
-  EXPECT_TRUE(GaussianSpectrum(g, 1.0).hermitian());
-  EXPECT_TRUE(PoissonGreenSpectrum().hermitian());
-  EXPECT_TRUE(PoissonGreenSpectrum(/*discrete=*/true).hermitian());
-  // DenseSpectrum has no closed form to reason about, so it scans the
-  // stored bins for conjugate symmetry at construction.
-  EXPECT_TRUE(
-      DenseSpectrum(GaussianSpectrum(g, 1.0).materialize(g), "sym").hermitian());
-  ComplexField f(g);
-  f(1, 0, 0) = cplx{1.0, 2.0};  // mirror bin (7,0,0) left at zero
-  EXPECT_FALSE(DenseSpectrum(std::move(f), "asym").hermitian());
+// Every kernel and operator in src/ is the spectrum of a real kernel, the
+// contract the half-spectrum pipeline rests on: it reads only x ≤ nx/2 and
+// c2r supplies the mirror half. Raw Γ̂ breaks this on its Nyquist planes.
+TEST(Hermitian, EveryKernelAndOperatorIsConjugateSymmetric) {
+  const Grid3 g = Grid3::cube(16);
+  const GaussianSpectrum gauss(g, 1.25);
+  EXPECT_LT(conjugate_symmetry_defect(gauss, g), 1e-12);
+  EXPECT_LT(conjugate_symmetry_defect(PoissonGreenSpectrum(), g), 1e-12);
+  EXPECT_LT(
+      conjugate_symmetry_defect(PoissonGreenSpectrum(/*discrete=*/true), g),
+      1e-12);
+  EXPECT_LT(conjugate_symmetry_defect(
+                HalfDenseSpectrum(gauss.materialize_half(g), g), g),
+            1e-12);
+
+  const Lame ref = lame_from_young_poisson(100.0, 0.3);
+  for (std::size_t a = 0; a < 6; ++a) {
+    for (std::size_t b = 0; b < 6; ++b) {
+      EXPECT_LT(conjugate_symmetry_defect(
+                    massif::ElasticGreenComponentKernel(a, b, ref), g),
+                1e-12)
+          << "gamma[" << a << "][" << b << "]";
+    }
+  }
+
+  // The six-channel operator maps a conjugate-symmetric pair of channel
+  // vectors (v at ξ, conj v at the mirror) to a conjugate-symmetric pair.
+  const massif::ElasticGreenOperator op(ref);
+  SplitMix64 rng(5);
+  double defect = 0.0;
+  double scale = 0.0;
+  for_each_point(Box3::of(g), [&](const Index3& p) {
+    std::array<cplx, 6> at{};
+    for (auto& v : at) v = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+    std::array<cplx, 6> mirrored{};
+    for (std::size_t c = 0; c < 6; ++c) mirrored[c] = std::conj(at[c]);
+    op.apply(p, g, at);
+    op.apply(mirror_bin(p, g), g, mirrored);
+    for (std::size_t c = 0; c < 6; ++c) {
+      scale = std::max(scale, std::abs(at[c]));
+      defect = std::max(defect, std::abs(mirrored[c] - std::conj(at[c])));
+    }
+  });
+  EXPECT_LT(defect, 1e-12 * scale);
 }
 
 TEST(HalfDenseSpectrum, StoresHalfGridAndMirrorsByConjugation) {
   const Grid3 g = Grid3::cube(8);
   const GaussianSpectrum gauss(g, 1.25);
   const HalfDenseSpectrum half(gauss.materialize_half(g), g, "gauss-half");
-  EXPECT_TRUE(half.hermitian());
   EXPECT_EQ(half.half_spectrum().grid().nx, g.nx / 2 + 1);
   EXPECT_EQ(half.half_spectrum().size(),
             static_cast<std::size_t>((g.nx / 2 + 1) * g.ny * g.nz));
@@ -231,6 +276,34 @@ TEST_F(ElasticGreenTest, ZeroFrequencyGivesZeroOperator) {
   const Green4 g0 = elastic_green_operator({0.0, 0.0, 0.0}, ref_);
   for (std::size_t a = 0; a < 6; ++a) {
     for (std::size_t b = 0; b < 6; ++b) EXPECT_EQ(g0.m[a][b], 0.0);
+  }
+}
+
+TEST_F(ElasticGreenTest, NyquistParityRuleEqualsHermitianPart) {
+  // elastic_green_at_bin zeroes the entries that are odd in the Nyquist
+  // components; that must equal the Hermitian part
+  // H = (Γ̂(ω) + Γ̂(ω with its Nyquist components negated)) / 2 exactly,
+  // and leave Γ̂ untouched off the Nyquist planes.
+  for (const i64 n : {8, 16}) {
+    const Grid3 g = Grid3::cube(n);
+    for_each_point(Box3::of(g), [&](const Index3& p) {
+      const fft::Freq3 w{fft::angular_frequency(p.x, n),
+                         fft::angular_frequency(p.y, n),
+                         fft::angular_frequency(p.z, n)};
+      const fft::Freq3 flipped{p.x == n / 2 ? -w.x : w.x,
+                               p.y == n / 2 ? -w.y : w.y,
+                               p.z == n / 2 ? -w.z : w.z};
+      const Green4 raw = elastic_green_operator(w, ref_);
+      const Green4 neg = elastic_green_operator(flipped, ref_);
+      const Green4 rule = elastic_green_at_bin(p, g, ref_);
+      for (std::size_t a = 0; a < 6; ++a) {
+        for (std::size_t b = 0; b < 6; ++b) {
+          ASSERT_EQ(rule.m[a][b], 0.5 * (raw.m[a][b] + neg.m[a][b]))
+              << "n=" << n << " bin " << p.str() << " [" << a << "][" << b
+              << "]";
+        }
+      }
+    });
   }
 }
 

@@ -501,11 +501,10 @@ std::size_t span_count(const char* name) {
   return n;
 }
 
-TEST(ObsTrace, ComplexPathRecordsEveryStageSpan) {
-  // The complex ground-truth path (RealPath::kOff) must stay instrumented
-  // exactly like the default half-spectrum engine: one span per stage and
-  // one sample in each stage histogram per call — the path-dependent items
-  // tools/check_obs_outputs.py requires of a run.
+TEST(ObsTrace, ConvolveRecordsEveryStageSpan) {
+  // One convolve call records one span per stage and one sample in each
+  // stage histogram — the stage items tools/check_obs_outputs.py requires
+  // of a run.
   const Grid3 grid = Grid3::cube(32);
   auto kernel = std::make_shared<green::GaussianSpectrum>(grid, 2.0);
   const i64 k = 8;
@@ -529,29 +528,17 @@ TEST(ObsTrace, ComplexPathRecordsEveryStageSpan) {
     }
     return c;
   };
-  // Span and histogram-sample deltas of one convolve call.
-  const auto record = [&](core::LocalConvolverConfig::RealPath path,
-                          bool want_real) {
-    core::LocalConvolverConfig cfg;
-    cfg.real = path;
-    cfg.pool = nullptr;
-    const core::LocalConvolver engine(grid, kernel, cfg);
-    EXPECT_EQ(engine.uses_real_path(), want_real);
-    const std::vector<std::size_t> before = counts();
-    obs::Tracer::global().enable();
-    (void)engine.convolve_subdomain(chunk, corner, tree);
-    obs::Tracer::global().disable();
-    std::vector<std::size_t> delta = counts();
-    for (std::size_t i = 0; i < delta.size(); ++i) delta[i] -= before[i];
-    return delta;
-  };
 
-  const auto complex_path =
-      record(core::LocalConvolverConfig::RealPath::kOff, false);
-  const auto default_path =
-      record(core::LocalConvolverConfig::RealPath::kAuto, true);
-  EXPECT_EQ(complex_path, std::vector<std::size_t>(6, 1));
-  EXPECT_EQ(complex_path, default_path);
+  core::LocalConvolverConfig cfg;
+  cfg.pool = nullptr;
+  const core::LocalConvolver engine(grid, kernel, cfg);
+  const std::vector<std::size_t> before = counts();
+  obs::Tracer::global().enable();
+  (void)engine.convolve_subdomain(chunk, corner, tree);
+  obs::Tracer::global().disable();
+  std::vector<std::size_t> delta = counts();
+  for (std::size_t i = 0; i < delta.size(); ++i) delta[i] -= before[i];
+  EXPECT_EQ(delta, std::vector<std::size_t>(6, 1));
 }
 
 // --- Prometheus: real cumulative histogram next to the summary -------------
@@ -790,8 +777,7 @@ TEST(ObsTelemetry, DistributedConvolveEmitsOnePlanOutcome) {
                                  params.make_policy());
   EXPECT_EQ(rec.pred_point_passes,
             4.0 * obs::modeled_point_passes(
-                      32, 16, central.retained_z_planes().size(),
-                      kernel->hermitian()));
+                      32, 16, central.retained_z_planes().size()));
 
   // A second call on the same cluster reuses its exchange plan; every
   // prediction must come out the same.

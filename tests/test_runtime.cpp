@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <complex>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -13,7 +14,7 @@
 #include "common/arena.hpp"
 #include "core/accumulator.hpp"
 #include "green/gaussian.hpp"
-#include "obs/metrics.hpp"
+#include "green/poisson.hpp"
 #include "runtime/service.hpp"
 
 namespace lc::runtime {
@@ -355,19 +356,36 @@ TEST(ConvolutionService, EngineCacheHitWithoutResultCache) {
 }
 
 TEST(ConvolutionService, HermitianKernelCachesHalfSpectrum) {
+  // With materialize_spectra the engine reads a cached half-grid table of
+  // eval() values instead of the closed form. The pipeline reads only the
+  // x ≤ nx/2 bins, so the answers must be bit-identical, and the cache
+  // must hold exactly one (nx/2+1)·ny·nz table more.
   const Grid3 g = Grid3::cube(32);
-  auto& saved =
-      obs::Registry::global().counter("spectrum.half_bytes_saved");
-
-  ServiceConfig cfg;
-  cfg.materialize_spectra = true;
-
-  // The Gaussian kernel is Hermitian, so the engine materialises the half
-  // spectrum and books the bytes it saved.
-  const auto before_on = saved.value();
-  ConvolutionService on_service(cfg);
-  (void)on_service.run(small_request(g));
-  EXPECT_GT(saved.value(), before_on);
+  ServiceConfig materialized;
+  materialized.materialize_spectra = true;
+  const Grid3 half{g.nx / 2 + 1, g.ny, g.nz};
+  const std::size_t table_bytes = half.size() * sizeof(std::complex<double>) +
+                                  sizeof(green::HalfDenseSpectrum);
+  const std::shared_ptr<const green::KernelSpectrum> kernels[] = {
+      std::make_shared<green::GaussianSpectrum>(g, 1.5),
+      std::make_shared<green::PoissonGreenSpectrum>()};
+  for (const auto& kernel : kernels) {
+    ConvolutionService closed_form;
+    ConvolutionService table(materialized);
+    auto req = small_request(g);
+    req.kernel = kernel;
+    auto req_copy = req;
+    const ConvolutionResponse want = closed_form.run(std::move(req));
+    const ConvolutionResponse got = table.run(std::move(req_copy));
+    ASSERT_EQ(got.result.output.size(), want.result.output.size());
+    for (std::size_t i = 0; i < want.result.output.size(); ++i) {
+      ASSERT_EQ(got.result.output[i], want.result.output[i])
+          << kernel->name() << " at " << i;
+    }
+    EXPECT_EQ(table.stats().cache.bytes,
+              closed_form.stats().cache.bytes + table_bytes)
+        << kernel->name();
+  }
 }
 
 TEST(ConvolutionService, SubdomainScopedRequestReturnsTile) {
