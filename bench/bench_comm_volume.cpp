@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
       // executed exchange is tested against (per-cell scale headers and
       // per-destination wire-double padding included).
       const std::size_t off_wire =
-          core::lowcomm_exchange_traffic(engine, flat,
+          core::lowcomm_exchange_traffic(g, params, flat,
                                          core::ExchangeRoute::kFlat)
               .total_bytes();
       core::LowCommParams q16 = params;
@@ -181,7 +181,7 @@ int main(int argc, char** argv) {
       // flat route's inter-node bytes and its whole wire total.
       if (nodes == 8) {
         const std::size_t flat_total =
-            core::lowcomm_exchange_traffic(engine, topo,
+            core::lowcomm_exchange_traffic(g, params, topo,
                                            core::ExchangeRoute::kFlat)
                 .total_bytes();
         if (rep.inter_wire_bytes >= rep.flat_inter_wire_bytes ||
@@ -204,12 +204,15 @@ int main(int argc, char** argv) {
   }
 
   // --- Executed codec sweep: wire bytes vs end-to-end error ----------------
-  // One pooled local-convolution pass over all 64 sub-domains at the
-  // headline shape (k=32, r=2), then each codec round-trips every cell's
-  // payload through the real WireEncoder/WireDecoder — exactly what the
-  // exchange ships — before the shared accumulation. The L2 error is
-  // measured against the dense spectral reference, so the rows separate
-  // sampling error (the off row) from quantization error (the delta).
+  // The distributed path's own contributions at the headline shape (k=32,
+  // r=2, P=8 flat): every rank's groups (DomainDecomposition::groups_of)
+  // convolved once on the exchange plan's group trees, then each codec
+  // round-trips every cell's payload through the real WireEncoder /
+  // WireDecoder — exactly what the exchange ships, whose wire bytes the
+  // same plan's mirror prices — before the accumulation in (rank, group)
+  // order. The L2 error is measured against the dense spectral reference,
+  // so the rows separate sampling error (the off row) from quantization
+  // error (the delta).
   // Gates (the PR's acceptance shape): every lossy codec cuts the wire
   // >= 2x vs off AND stays within 3% end-to-end L2; off adds zero error.
   // Not baselined: the L2 column is floating-point and may drift across
@@ -223,25 +226,25 @@ int main(int argc, char** argv) {
     params.dense_halo = 2;  // graded bands + a 2-voxel dense skin put the
                             // sampling error itself inside the 3% target
     params.wire = comm::WireCodec::kOff;
-    core::LowCommConvolution engine(g, kernel, params);
 
     RealField input(g);
     SplitMix64 rng(7);
     for (auto& v : input.span()) v = rng.uniform(-1.0, 1.0);
     const RealField want = baseline::dense_convolve(input, *kernel);
 
-    const std::size_t domains = engine.decomposition().count();
-    std::vector<sampling::CompressedField> fields;
-    fields.reserve(domains);
-    for (std::size_t i = 0; i < domains; ++i) {
-      fields.push_back(engine.convolve_one(input, i));
-    }
-
     const comm::Topology flat8 = comm::Topology::flat(workers);
-    const std::size_t off_wire =
-        core::lowcomm_exchange_traffic(engine, flat8,
-                                       core::ExchangeRoute::kFlat)
-            .total_bytes();
+    const core::ExchangePlan plan(g, params, flat8,
+                                  core::ExchangeRoute::kFlat);
+    const core::LocalConvolver convolver(g, kernel);
+    std::vector<sampling::CompressedField> fields;
+    for (int rank = 0; rank < workers; ++rank) {
+      for (const std::size_t group : plan.groups_of(rank)) {
+        const Box3& box = plan.group_box(group);
+        fields.push_back(convolver.convolve_subdomain(
+            input.extract(box), box.lo, plan.octree(group)));
+      }
+    }
+    const std::size_t off_wire = plan.traffic().total_bytes();
 
     bench::JsonTable sweep(
         "comm_volume_codecs",

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <numeric>
 
 #include "common/check.hpp"
 
@@ -10,16 +9,58 @@ namespace lc::core {
 
 namespace {
 
-/// Interleave the low 21 bits of (x, y, z) into one Morton key. per-axis
-/// coordinates here are sub-domain block coordinates (< 2^21 always).
-std::uint64_t morton3(std::uint64_t x, std::uint64_t y, std::uint64_t z) {
-  std::uint64_t key = 0;
-  for (int b = 0; b < 21; ++b) {
-    key |= ((x >> b) & 1u) << (3 * b);
-    key |= ((y >> b) & 1u) << (3 * b + 1);
-    key |= ((z >> b) & 1u) << (3 * b + 2);
+/// Visit the cells of a per_axis³ lattice (index x + per_axis·(y +
+/// per_axis·z), x fastest) in Morton order: increasing key of the
+/// interleaved block coordinates (x in the lowest bit of each triple), so
+/// consecutive cells are spatial neighbours.
+template <class Visit>
+void morton_walk(i64 per_axis, Visit visit) {
+  std::uint64_t side = 1;
+  while (side < static_cast<std::uint64_t>(per_axis)) side <<= 1;
+  const std::uint64_t keys = side * side * side;
+  const auto axis = static_cast<std::uint64_t>(per_axis);
+  for (std::uint64_t key = 0; key < keys; ++key) {
+    std::uint64_t c[3] = {0, 0, 0};
+    for (int b = 0; (key >> (3 * b)) != 0; ++b) {
+      for (int a = 0; a < 3; ++a) {
+        c[a] |= ((key >> (3 * b + a)) & 1u) << b;
+      }
+    }
+    if (c[0] >= axis || c[1] >= axis || c[2] >= axis) continue;
+    visit(static_cast<std::size_t>(c[0] + axis * (c[1] + axis * c[2])));
   }
-  return key;
+}
+
+/// The greedy group rule on one z-layer of per_axis² owner labels (-1: no
+/// owner, or already grouped): the first labelled cell in (y, x) scan order
+/// opens a group that takes the longest same-owner x run from it, then
+/// every following y row whose run is whole. Calls emit(owner, x0, y0, x1,
+/// y1) per group, in opening order, and clears the grouped labels.
+template <class Emit>
+void layer_groups(i64 per_axis, int* label, Emit emit) {
+  const auto at = [&](i64 x, i64 y) -> int& {
+    return label[static_cast<std::size_t>(y * per_axis + x)];
+  };
+  for (i64 y0 = 0; y0 < per_axis; ++y0) {
+    for (i64 x0 = 0; x0 < per_axis; ++x0) {
+      const int owner = at(x0, y0);
+      if (owner < 0) continue;
+      i64 x1 = x0 + 1;
+      while (x1 < per_axis && at(x1, y0) == owner) ++x1;
+      i64 y1 = y0 + 1;
+      const auto row_whole = [&](i64 y) {
+        for (i64 x = x0; x < x1; ++x) {
+          if (at(x, y) != owner) return false;
+        }
+        return true;
+      };
+      while (y1 < per_axis && row_whole(y1)) ++y1;
+      for (i64 y = y0; y < y1; ++y) {
+        for (i64 x = x0; x < x1; ++x) at(x, y) = -1;
+      }
+      emit(owner, x0, y0, x1, y1);
+    }
+  }
 }
 
 }  // namespace
@@ -39,21 +80,10 @@ DomainDecomposition::DomainDecomposition(const Grid3& grid, i64 k)
       }
     }
   }
-  // Morton (octant-interleaved) order of the boxes: the sort key interleaves
-  // the block coordinates, so consecutive positions are spatial neighbours.
-  morton_order_.resize(boxes_.size());
-  std::iota(morton_order_.begin(), morton_order_.end(), std::size_t{0});
-  std::sort(morton_order_.begin(), morton_order_.end(),
-            [&](std::size_t a, std::size_t b) {
-              const Index3& la = boxes_[a].lo;
-              const Index3& lb = boxes_[b].lo;
-              return morton3(static_cast<std::uint64_t>(la.x / k),
-                             static_cast<std::uint64_t>(la.y / k),
-                             static_cast<std::uint64_t>(la.z / k)) <
-                     morton3(static_cast<std::uint64_t>(lb.x / k),
-                             static_cast<std::uint64_t>(lb.y / k),
-                             static_cast<std::uint64_t>(lb.z / k));
-            });
+  // Boxes are numbered x-fastest, exactly as morton_walk numbers cells.
+  morton_order_.reserve(boxes_.size());
+  morton_walk(per_axis,
+              [&](std::size_t cell) { morton_order_.push_back(cell); });
 }
 
 std::vector<std::size_t> DomainDecomposition::assigned_to(int rank,
@@ -73,6 +103,55 @@ std::vector<std::size_t> DomainDecomposition::assigned_to(int rank,
       morton_order_.begin() + static_cast<std::ptrdiff_t>(end));
   std::sort(mine.begin(), mine.end());
   return mine;
+}
+
+std::vector<Box3> DomainDecomposition::groups_of(int rank,
+                                                 int workers) const {
+  const i64 per_axis = grid_.nx / k_;
+  const auto layer = static_cast<std::size_t>(per_axis * per_axis);
+  // One label buffer per layer: a single lattice-sized buffer measured
+  // ~9 MB more peak RSS on lowcomm-n64-q16-flat (glibc heap layout of the
+  // exchange-plan build), for the same groups.
+  std::vector<std::vector<int>> label(static_cast<std::size_t>(per_axis),
+                                      std::vector<int>(layer, -1));
+  for (const std::size_t d : assigned_to(rank, workers)) {
+    label[d / layer][d % layer] = rank;
+  }
+  std::vector<Box3> groups;
+  for (i64 z = 0; z < per_axis; ++z) {
+    layer_groups(per_axis, label[static_cast<std::size_t>(z)].data(),
+                 [&](int, i64 x0, i64 y0, i64 x1, i64 y1) {
+                   groups.push_back(Box3{{x0 * k_, y0 * k_, z * k_},
+                                         {x1 * k_, y1 * k_, (z + 1) * k_}});
+                 });
+  }
+  return groups;
+}
+
+std::size_t DomainDecomposition::max_groups_per_rank(i64 per_axis,
+                                                     int workers) {
+  LC_CHECK_ARG(per_axis >= 1 && workers >= 1, "bad lattice/worker count");
+  const auto count = static_cast<std::size_t>(per_axis * per_axis * per_axis);
+  const auto layer = static_cast<std::size_t>(per_axis * per_axis);
+  const auto p = static_cast<std::size_t>(workers);
+  // Morton position i belongs to the rank r with count·r/P <= i <
+  // count·(r+1)/P (assigned_to's runs), i.e. r = ((i+1)·P − 1) / count.
+  std::vector<int> label(count);
+  std::size_t position = 0;
+  morton_walk(per_axis, [&](std::size_t cell) {
+    label[cell] = static_cast<int>(((position + 1) * p - 1) / count);
+    ++position;
+  });
+  // Each rank's groups are what its own scan finds: the greedy rule only
+  // ever reads and clears cells of the owner that opened the group.
+  std::vector<std::size_t> groups(p, 0);
+  for (i64 z = 0; z < per_axis; ++z) {
+    layer_groups(per_axis, label.data() + static_cast<std::size_t>(z) * layer,
+                 [&](int owner, i64, i64, i64, i64) {
+                   ++groups[static_cast<std::size_t>(owner)];
+                 });
+  }
+  return *std::max_element(groups.begin(), groups.end());
 }
 
 }  // namespace lc::core

@@ -36,6 +36,22 @@ class DomainDecomposition {
   [[nodiscard]] std::vector<std::size_t> assigned_to(int rank,
                                                      int workers) const;
 
+  /// `rank`'s groups: its owned sub-domains, z-layer by z-layer, cut into
+  /// maximal rectangles greedily in (z, y, x) scan order (the first free
+  /// owned sub-domain of a layer opens a group, which takes the longest x
+  /// run from it, then every following y row whose run is whole). Each
+  /// group is one X×Y×k box: the distributed path convolves, samples,
+  /// ships and accumulates it as one chunk (DESIGN.md §19). Deterministic;
+  /// the boxes are disjoint and their union is assigned_to(rank, workers).
+  [[nodiscard]] std::vector<Box3> groups_of(int rank, int workers) const;
+
+  /// The most groups any of `workers` ranks runs on a per_axis³ lattice of
+  /// sub-domains — max over ranks of groups_of(rank, workers).size() —
+  /// from one labelling pass over the lattice, without building boxes (the
+  /// planner prices the distributed path's local pipelines with it).
+  [[nodiscard]] static std::size_t max_groups_per_rank(i64 per_axis,
+                                                       int workers);
+
  private:
   Grid3 grid_;
   i64 k_;

@@ -18,18 +18,14 @@ ExchangeRoute resolve_route(ExchangeRoute route,
 }
 
 ExchangePlan::ExchangePlan(const Grid3& grid, const LowCommParams& params,
-                           comm::Topology topo, ExchangeRoute route,
-                           const OctreeSource& octree_for)
-    : ExchangePlan(grid, params, std::move(topo), route, octree_for,
-                   /*retain=*/true) {}
+                           comm::Topology topo, ExchangeRoute route)
+    : ExchangePlan(grid, params, std::move(topo), route, /*retain=*/true) {}
 
 comm::LevelTraffic ExchangePlan::mirror(const Grid3& grid,
                                         const LowCommParams& params,
                                         comm::Topology topo,
-                                        ExchangeRoute route,
-                                        const OctreeSource& octree_for) {
-  return ExchangePlan(grid, params, std::move(topo), route, octree_for,
-                      /*retain=*/false)
+                                        ExchangeRoute route) {
+  return ExchangePlan(grid, params, std::move(topo), route, /*retain=*/false)
       .traffic();
 }
 
@@ -50,7 +46,7 @@ std::string ExchangePlan::key(const Grid3& grid, const LowCommParams& params,
 
 ExchangePlan::ExchangePlan(const Grid3& grid, const LowCommParams& params,
                            comm::Topology topo, ExchangeRoute route,
-                           const OctreeSource& octree_for, bool retain)
+                           bool retain)
     : decomp_(grid, params.subdomain),
       topo_(std::move(topo)),
       hierarchical_(resolve_route(route, topo_) ==
@@ -60,25 +56,22 @@ ExchangePlan::ExchangePlan(const Grid3& grid, const LowCommParams& params,
   LC_TRACE("exchange.plan_build");
   const auto ranks = static_cast<std::size_t>(topo_.ranks());
   const auto nodes = static_cast<std::size_t>(topo_.nodes());
-  owned_.resize(ranks);
+  rank_groups_.resize(ranks);
   owner_.assign(decomp_.count(), 0);
   for (int r = 0; r < topo_.ranks(); ++r) {
-    owned_[static_cast<std::size_t>(r)] =
-        decomp_.assigned_to(r, topo_.ranks());
-    for (const std::size_t d : owned_[static_cast<std::size_t>(r)]) {
+    for (const std::size_t d : decomp_.assigned_to(r, topo_.ranks())) {
       owner_[d] = r;
+    }
+    for (const Box3& box : decomp_.groups_of(r, topo_.ranks())) {
+      rank_groups_[static_cast<std::size_t>(r)].push_back(boxes_.size());
+      boxes_.push_back(box);
     }
   }
 
   const auto policy = params.make_policy();
-  const auto tree_of = [&](std::size_t d) {
-    return octree_for ? octree_for(d)
-                      : std::make_shared<const sampling::Octree>(
-                            grid, decomp_.subdomain(d), policy);
-  };
   if (retain) {
-    trees_.resize(decomp_.count());
-    masks_.resize(decomp_.count());
+    trees_.resize(boxes_.size());
+    masks_.resize(boxes_.size());
   }
 
   // Encoded bytes per (source, destination rank) and, on the hierarchical
@@ -92,8 +85,9 @@ ExchangePlan::ExchangePlan(const Grid3& grid, const LowCommParams& params,
     std::size_t* pair_row = pair_doubles_.data() + src * ranks;
     std::size_t* node_row =
         hierarchical_ ? node_doubles_.data() + src * nodes : nullptr;
-    for (const std::size_t d : owned_[src]) {
-      auto tree = tree_of(d);
+    for (const std::size_t g : rank_groups_[src]) {
+      auto tree =
+          std::make_shared<const sampling::Octree>(grid, boxes_[g], policy);
       auto masks = cell_masks(*tree);
       const auto cells = tree->cells();
       for (std::size_t ci = 0; ci < cells.size(); ++ci) {
@@ -116,8 +110,8 @@ ExchangePlan::ExchangePlan(const Grid3& grid, const LowCommParams& params,
         }
       }
       if (retain) {
-        trees_[d] = std::move(tree);
-        masks_[d] = std::move(masks);
+        trees_[g] = std::move(tree);
+        masks_[g] = std::move(masks);
       }
     }
   }
@@ -218,13 +212,13 @@ std::vector<std::vector<double>> ExchangePlan::split_bundle(
   enc.reserve(members.size());
   for (auto& piece : pieces) enc.emplace_back(codec_, piece);
   comm::WireDecoder dec(codec_, bundle);
-  for (const std::size_t d : owned(src)) {
-    const auto cells = trees_[d]->cells();
+  for (const std::size_t g : groups_of(src)) {
+    const auto cells = trees_[g]->cells();
     for (std::size_t ci = 0; ci < cells.size(); ++ci) {
-      if (!needed_by_node(d, ci, node)) continue;
+      if (!needed_by_node(g, ci, node)) continue;
       const auto encoded = dec.read_encoded_cell(cells[ci].sample_count());
       for (std::size_t i = 0; i < members.size(); ++i) {
-        if (needed(d, ci, members[i])) enc[i].add_encoded_cell(encoded);
+        if (needed(g, ci, members[i])) enc[i].add_encoded_cell(encoded);
       }
     }
   }
@@ -247,12 +241,12 @@ ExchangeOutcome exchange_samples(comm::Rank& rank, const ExchangePlan& plan,
   const int me = rank.id();
   const comm::Topology& topo = rank.topology();
   const int my_node = topo.node_of(me);
-  const auto& mine = plan.owned(me);
+  const auto& mine = plan.groups_of(me);
   LC_CHECK_ARG(local.size() == mine.size(),
-               "exchange_samples needs one contribution per owned sub-domain");
+               "exchange_samples needs one contribution per owned group");
 
-  // Pack into `out` the cells `wanted(sub-domain, cell)` selects, in
-  // (owned sub-domain, cell) order. Unique payload leaving this rank,
+  // Pack into `out` the cells `wanted(group, cell)` selects, in (owned
+  // group, cell) order. Unique payload leaving this rank,
   // under the active codec: raw samples shipped keep counting doubles (the
   // pre-codec figure), payload_bytes counts actual wire bytes, and their
   // difference accumulates into bytes_saved (saturating: tiny q16 cells can
@@ -295,15 +289,15 @@ ExchangeOutcome exchange_samples(comm::Rank& rank, const ExchangePlan& plan,
     for (int r = 0; r < rank.size(); ++r) {
       if (plan.hierarchical() && !topo.same_node(me, r)) continue;
       pack(direct[static_cast<std::size_t>(r)], r != me,
-           [&](std::size_t d, std::size_t ci) {
-             return plan.needed(d, ci, r);
+           [&](std::size_t g, std::size_t ci) {
+             return plan.needed(g, ci, r);
            });
     }
     for (int n = 0; n < static_cast<int>(bundles.size()); ++n) {
       if (n == my_node) continue;
       pack(bundles[static_cast<std::size_t>(n)], true,
-           [&](std::size_t d, std::size_t ci) {
-             return plan.needed_by_node(d, ci, n);
+           [&](std::size_t g, std::size_t ci) {
+             return plan.needed_by_node(g, ci, n);
            });
     }
     local.clear();

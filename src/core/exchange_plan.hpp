@@ -3,18 +3,22 @@
 // and shared by everything that needs it.
 //
 // Octrees depend only on (grid, policy), so every quantity that frames the
-// exchange — which rank owns which sub-domain, which octree cells each rank
-// needs, and how many wire doubles every source ships to every rank and
-// node — is deterministic and payload-free. The plan holds them all: the
-// executor (exchange_samples below) packs, routes and splits from its
-// masks, the size tables frame the header-free collectives, and the static
-// traffic mirror and the telemetry predictions replay the same tables. A
-// SimCluster keeps the latest plan in its memo slot, so repeated calls on
-// one cluster only move payloads.
+// exchange — which rank owns which group of sub-domains, which cells of
+// each group's octree each rank needs, and how many wire doubles every
+// source ships to every rank and node — is deterministic and payload-free.
+// The plan holds them all: the executor (exchange_samples below) packs,
+// routes and splits from its masks, the size tables frame the header-free
+// collectives, and the static traffic mirror and the telemetry predictions
+// replay the same tables. A SimCluster keeps the latest plan in its memo
+// slot, so repeated calls on one cluster only move payloads.
+//
+// The unit of the exchange is the GROUP (DomainDecomposition::groups_of): a
+// rank's owned sub-domains in one z-layer form maximal rectangles, each
+// convolved as one chunk and sampled on one octree built around the group
+// box, so the plan keeps one tree and one mask set per group.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -52,23 +56,17 @@ enum class ExchangeRoute {
 /// either way every rank receives exactly its own cells.
 class ExchangePlan {
  public:
-  /// Source of per-sub-domain octrees: an engine's cached slots, or trees
-  /// built from the params' policy when empty.
-  using OctreeSource =
-      std::function<std::shared_ptr<const sampling::Octree>(std::size_t)>;
-
   /// Build the plan for `params` (sampling fields and wire codec) on `topo`
   /// under `route` (kAuto resolved here).
   ExchangePlan(const Grid3& grid, const LowCommParams& params,
-               comm::Topology topo, ExchangeRoute route,
-               const OctreeSource& octree_for = {});
+               comm::Topology topo, ExchangeRoute route);
 
   /// Static per-level wire traffic of the exchange, from the same builder
   /// and size tables as the plan but without keeping octrees or masks (the
   /// planner prices many candidates this way).
   [[nodiscard]] static comm::LevelTraffic mirror(
       const Grid3& grid, const LowCommParams& params, comm::Topology topo,
-      ExchangeRoute route, const OctreeSource& octree_for = {});
+      ExchangeRoute route);
 
   /// Memo key of the plan for these inputs on one cluster (the topology is
   /// the cluster's own, so it is not part of the key).
@@ -76,32 +74,35 @@ class ExchangePlan {
                                        const LowCommParams& params,
                                        ExchangeRoute resolved);
 
-  [[nodiscard]] const DomainDecomposition& decomposition() const noexcept {
-    return decomp_;
-  }
   [[nodiscard]] bool hierarchical() const noexcept { return hierarchical_; }
   [[nodiscard]] comm::WireCodec codec() const noexcept { return codec_; }
 
-  /// Sub-domain indices (ascending) owned by `rank`.
-  [[nodiscard]] const std::vector<std::size_t>& owned(int rank) const {
-    return owned_[static_cast<std::size_t>(rank)];
+  /// Indices of `rank`'s groups, in groups_of order (the plan numbers all
+  /// groups in (rank, group) order).
+  [[nodiscard]] const std::vector<std::size_t>& groups_of(int rank) const {
+    return rank_groups_[static_cast<std::size_t>(rank)];
   }
+  /// Box of group `group`: X×Y×k, inside one z-layer.
+  [[nodiscard]] const Box3& group_box(std::size_t group) const {
+    return boxes_[group];
+  }
+  /// Octree of group `group`, built around its box.
   [[nodiscard]] const std::shared_ptr<const sampling::Octree>& octree(
-      std::size_t subdomain) const {
-    return trees_[subdomain];
+      std::size_t group) const {
+    return trees_[group];
   }
-  /// True iff cell `cell` of sub-domain `subdomain`'s octree overlaps a
-  /// sub-domain owned by `rank`.
-  [[nodiscard]] bool needed(std::size_t subdomain, std::size_t cell,
+  /// True iff cell `cell` of group `group`'s octree overlaps a sub-domain
+  /// owned by `rank`.
+  [[nodiscard]] bool needed(std::size_t group, std::size_t cell,
                             int rank) const noexcept {
     const auto r = static_cast<std::size_t>(rank);
-    return (masks_[subdomain][cell * words_ + r / 64] >> (r % 64)) & 1u;
+    return (masks_[group][cell * words_ + r / 64] >> (r % 64)) & 1u;
   }
   /// True iff any member of `node` needs the cell.
-  [[nodiscard]] bool needed_by_node(std::size_t subdomain, std::size_t cell,
+  [[nodiscard]] bool needed_by_node(std::size_t group, std::size_t cell,
                                     int node) const {
     for (const int r : topo_.members(node)) {
-      if (needed(subdomain, cell, r)) return true;
+      if (needed(group, cell, r)) return true;
     }
     return false;
   }
@@ -135,8 +136,7 @@ class ExchangePlan {
 
  private:
   ExchangePlan(const Grid3& grid, const LowCommParams& params,
-               comm::Topology topo, ExchangeRoute route,
-               const OctreeSource& octree_for, bool retain);
+               comm::Topology topo, ExchangeRoute route, bool retain);
   [[nodiscard]] std::vector<std::uint64_t> cell_masks(
       const sampling::Octree& tree) const;
   void replay_schedule();
@@ -146,10 +146,11 @@ class ExchangePlan {
   bool hierarchical_;
   comm::WireCodec codec_;
   std::size_t words_;
-  std::vector<std::vector<std::size_t>> owned_;
+  std::vector<std::vector<std::size_t>> rank_groups_;  // group ids per rank
+  std::vector<Box3> boxes_;                            // per group
   std::vector<int> owner_;  // rank owning sub-domain d
-  std::vector<std::shared_ptr<const sampling::Octree>> trees_;
-  std::vector<std::vector<std::uint64_t>> masks_;  // cells × words_ per tree
+  std::vector<std::shared_ptr<const sampling::Octree>> trees_;  // per group
+  std::vector<std::vector<std::uint64_t>> masks_;  // cells × words_ per group
   std::vector<std::size_t> pair_doubles_;          // ranks × ranks
   std::vector<std::size_t> node_doubles_;          // ranks × nodes (hier)
   comm::LevelTraffic traffic_;
@@ -166,9 +167,9 @@ struct ExchangeOutcome {
 };
 
 /// Run `rank`'s side of the plan's exchange. `local` holds the rank's
-/// contributions, one per plan.owned(rank) in that order; they are packed
-/// and released before the collective runs. Packed payload leaving the
-/// rank feeds the exchange.* registry counters once per buffer.
+/// contributions, one per group of plan.groups_of(rank) in that order;
+/// they are packed and released before the collective runs. Packed payload
+/// leaving the rank feeds the exchange.* registry counters once per buffer.
 [[nodiscard]] ExchangeOutcome exchange_samples(
     comm::Rank& rank, const ExchangePlan& plan,
     std::vector<sampling::CompressedField> local);

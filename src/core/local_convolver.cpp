@@ -112,17 +112,23 @@ std::vector<sampling::CompressedField> LocalConvolver::convolve_channels(
   LC_CHECK_ARG(tree->grid() == grid_, "octree grid != convolver grid");
   LC_CHECK_ARG(chunks.size() == nchan, "one chunk per operator channel");
   const i64 n = grid_.nx;
-  const i64 k = chunks[0].grid().nx;
+  const Grid3 ext = chunks[0].grid();
   for (const auto& c : chunks) {
-    LC_CHECK_ARG(c.grid() == Grid3::cube(k), "chunks must be equal cubes");
+    LC_CHECK_ARG(c.grid() == ext, "chunks must have equal extents");
   }
-  const Box3 dom = Box3::cube_at(corner, k);
-  LC_CHECK_ARG(Box3::of(grid_).contains(dom), "chunk box outside grid");
+  const Box3 dom{corner,
+                 {corner.x + ext.nx, corner.y + ext.ny, corner.z + ext.nz}};
+  LC_CHECK_ARG(!dom.empty() && Box3::of(grid_).contains(dom),
+               "chunk box outside grid");
   LC_CHECK_ARG(tree->subdomain() == dom,
                "octree sub-domain must match the chunk box");
 
   const auto un = static_cast<std::size_t>(n);
-  const auto uk = static_cast<std::size_t>(k);
+  // Chunk extents: X-wide rows, Y rows per slice, Z slices (Z nonzero
+  // inputs per z-pencil).
+  const auto ux = static_cast<std::size_t>(ext.nx);
+  const auto uy = static_cast<std::size_t>(ext.ny);
+  const auto uz = static_cast<std::size_t>(ext.nz);
   const std::size_t plane_elems = un * un;
   // Spectral planes hold only the nx/2+1 x-bins (Hermitian half-spectrum),
   // y-major so a z-pencil is a unit-stride run of p.
@@ -134,7 +140,7 @@ std::vector<sampling::CompressedField> LocalConvolver::convolve_channels(
   ScopedDeviceAlloc chunk_mem(config_.device,
                               nchan * chunks[0].size() * sizeof(double));
   ScopedDeviceAlloc slab_mem(config_.device,
-                             nchan * spec_elems * uk * sizeof(cplx));
+                             nchan * spec_elems * uz * sizeof(cplx));
   ScopedDeviceAlloc staging_mem(
       config_.device, nchan * spec_elems * planes.size() * sizeof(cplx));
   ScopedDeviceAlloc pencil_mem(
@@ -145,7 +151,7 @@ std::vector<sampling::CompressedField> LocalConvolver::convolve_channels(
   // the c2r store lane writes (see device::memory_model; the two models
   // are kept identical so measured peaks match plans).
   ScopedDeviceAlloc workspace_mem(
-      config_.device, 2 * spec_elems * uk * sizeof(cplx) +
+      config_.device, 2 * spec_elems * uz * sizeof(cplx) +
                           config_.batch * un * sizeof(cplx) +
                           plane_elems * sizeof(double));
 
@@ -163,16 +169,16 @@ std::vector<sampling::CompressedField> LocalConvolver::convolve_channels(
   // serving runtime recycles these multi-MB buffers between requests
   // instead of re-faulting fresh pages. The unpooled fallback keeps one
   // code path.
-  const std::size_t slab_elems = nchan * spec_elems * uk;
+  const std::size_t slab_elems = nchan * spec_elems * uz;
   auto slab_lease = config_.arena != nullptr
                         ? config_.arena->acquire(slab_elems * sizeof(cplx))
                         : BufferArena::unpooled(slab_elems * sizeof(cplx));
   const std::span<cplx> slab = slab_lease.as<cplx>();
-  // Stage 1 scatters only the k×k chunk rows; everything else must be zero
-  // (recycled buffers carry the previous request's data).
+  // Stage 1 scatters only the Y chunk rows of each slice; everything else
+  // must be zero (recycled buffers carry the previous request's data).
   std::fill(slab.begin(), slab.end(), cplx{0.0, 0.0});
   const auto slab_of = [&](std::size_t ch) {
-    return slab.data() + ch * spec_elems * uk;
+    return slab.data() + ch * spec_elems * uz;
   };
 
   // --- Stage 1: zero-pad xy per slice, 2D transform into slabs ------------
@@ -180,20 +186,20 @@ std::vector<sampling::CompressedField> LocalConvolver::convolve_channels(
   LC_TRACE("convolver.stage1_xy");
   ScopedTimer stage_timer(ConvolverMetrics::get().stage1);
   run_blocks(
-      config_.pool, uk * nchan,
+      config_.pool, uz * nchan,
       [&](std::size_t lo, std::size_t hi, fft::FftWorkspace& ws) {
         LC_TRACE("convolver.stage1.block");
         for (std::size_t job = lo; job < hi; ++job) {
-          const std::size_t ch = job / uk;
-          const auto zl = static_cast<i64>(job % uk);
+          const std::size_t ch = job / uz;
+          const auto zl = static_cast<i64>(job % uz);
           cplx* plane = slab_of(ch) + static_cast<std::size_t>(zl) * spec_elems;
-          // r2c straight off the chunk rows: the pruned window supplies the
-          // x zero-padding, rows outside [corner.y, corner.y + k) keep the
-          // slab's zero fill.
+          // r2c straight off the Y chunk rows of this slice: the pruned
+          // X-wide window supplies the x zero-padding, rows outside
+          // [corner.y, corner.y + Y) keep the slab's zero fill.
           rfft_n_->forward_batch_pruned(
-              &chunks[ch](0, 0, zl), 1, uk, uk,
+              &chunks[ch](0, 0, zl), 1, ux, ux,
               static_cast<std::size_t>(corner.x),
-              plane + static_cast<std::size_t>(corner.y) * nxh, 1, nxh, uk,
+              plane + static_cast<std::size_t>(corner.y) * nxh, 1, nxh, uy,
               ws);
           // y transform: the nx/2+1 retained x-bins, full length N.
           fft_n_->forward_batch(plane, nxh, 1, nxh, ws);
@@ -237,10 +243,10 @@ std::vector<sampling::CompressedField> LocalConvolver::convolve_channels(
           const std::size_t p0 = b * config_.batch;
           const std::size_t np = std::min(pencils, p0 + config_.batch) - p0;
           // Input-pruned forward z transforms, kBatchTile pencils per SIMD
-          // tile (offset = global corner.z; only k inputs are nonzero).
+          // tile (offset = global corner.z; only Z inputs are nonzero).
           for (std::size_t ch = 0; ch < nchan; ++ch) {
             fft_n_->forward_batch_pruned(
-                slab_of(ch) + p0, spec_elems, 1, static_cast<std::size_t>(k),
+                slab_of(ch) + p0, spec_elems, 1, uz,
                 static_cast<std::size_t>(corner.z), zbuf + ch * chan_stride,
                 un, np, ws);
           }

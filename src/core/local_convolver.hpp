@@ -1,7 +1,7 @@
-// LocalConvolver: FFT-based convolution of one k³ sub-domain against a
-// global N³ spectral operator, computed entirely inside one worker, with
-// the result compressed by octree sampling during the inverse stages
-// (paper §3.2 steps 2–3, Fig 2, Fig 4).
+// LocalConvolver: FFT-based convolution of one k³ sub-domain (or one
+// X×Y×k box of them) against a global N³ spectral operator, computed
+// entirely inside one worker, with the result compressed by octree
+// sampling during the inverse stages (paper §3.2 steps 2–3, Fig 2, Fig 4).
 //
 // Program flow (mirrors the paper's CUDA/cuFFT structure). The input is
 // real, so every spectral buffer holds only the Hermitian half: the
@@ -77,9 +77,12 @@ class LocalConvolver {
   }
   [[nodiscard]] const SpectralOperator& op() const noexcept { return *op_; }
 
-  /// Convolve C tight k³ channel chunks whose origin sits at `corner` of
-  /// the global grid, compressing each channel's N³ result through `tree`
-  /// (whose sub-domain must be the chunk box).
+  /// Convolve C tight channel chunks of equal extents X×Y×Z whose origin
+  /// sits at `corner` of the global grid, compressing each channel's N³
+  /// result through `tree` (whose sub-domain must be the chunk box). A k³
+  /// sub-domain is the cube case; the distributed path passes a group of
+  /// sub-domains in one z-layer (Z = k keeps the N²k slab bound). The z
+  /// stage transforms the same N×(N/2+1) pencils whatever X and Y are.
   [[nodiscard]] std::vector<sampling::CompressedField> convolve_channels(
       std::span<const RealField> chunks, const Index3& corner,
       std::shared_ptr<const sampling::Octree> tree) const;

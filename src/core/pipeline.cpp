@@ -1,7 +1,7 @@
 #include "core/pipeline.hpp"
 
+#include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <optional>
 
 #include "comm/wire_codec.hpp"
@@ -229,22 +229,11 @@ void run_local(std::span<LocalJob* const> jobs, ThreadPool* pool) {
   }
 }
 
-std::size_t lowcomm_exchange_bytes(const LowCommConvolution& engine,
-                                   int workers) {
-  // The flat-route mirror on a trivial topology: per ordered rank pair,
-  // encoded bundle bytes rounded to whole wire doubles, self-delivery
-  // excluded — byte-identical to what a flat SimCluster run records.
-  return lowcomm_exchange_traffic(engine, comm::Topology::flat(workers),
-                                  ExchangeRoute::kFlat)
+std::size_t lowcomm_exchange_bytes(const Grid3& grid,
+                                   const LowCommParams& params, int workers) {
+  return ExchangePlan::mirror(grid, params, comm::Topology::flat(workers),
+                              ExchangeRoute::kFlat)
       .total_bytes();
-}
-
-comm::LevelTraffic lowcomm_exchange_traffic(const LowCommConvolution& engine,
-                                            const comm::Topology& topo,
-                                            ExchangeRoute route) {
-  return ExchangePlan::mirror(
-      engine.decomposition().grid(), engine.params(), topo, route,
-      [&engine](std::size_t d) { return engine.octree_for(d); });
 }
 
 comm::LevelTraffic lowcomm_exchange_traffic(const Grid3& grid,
@@ -313,33 +302,39 @@ RealField distributed_lowcomm_convolve(
     rec->pred_inter_s = times.inter_seconds;
     rec->pred_wire_s = times.total_seconds();
 
-    // Compute model: the representative central sub-domain's octree, the
-    // same formula the planner prices with (obs::modeled_point_passes).
-    const DomainDecomposition& decomp = plan.decomposition();
-    const auto blocks = static_cast<std::size_t>(grid.nx / params.subdomain);
-    const std::size_t mid = blocks / 2;
-    const sampling::Octree& central =
-        *plan.octree((mid * blocks + mid) * blocks + mid);
-    const double owned =
-        std::ceil(static_cast<double>(decomp.count()) /
-                  static_cast<double>(std::max(workers, 1)));
-    rec->pred_point_passes =
-        owned * obs::modeled_point_passes(grid.nx, params.subdomain,
-                                          central.retained_z_planes().size());
+    // Compute model: the formula the planner prices with
+    // (obs::modeled_point_passes), once per group pipeline with that
+    // group's retained planes, summed over each rank's groups; the slowest
+    // rank bounds the call. Memory: the largest group's pipeline plan —
+    // each rank runs its groups one after another, so its peak is its
+    // largest group's.
+    rec->pred_point_passes = 0.0;
+    std::size_t memory = 0;
+    const auto policy = params.make_policy();
+    for (int r = 0; r < workers; ++r) {
+      double passes = 0.0;
+      for (const std::size_t g : plan.groups_of(r)) {
+        passes += obs::modeled_point_passes(
+            grid.nx, params.subdomain,
+            plan.octree(g)->retained_z_planes().size());
+        memory = std::max(memory, device::plan_local_pipeline(
+                                      grid.nx, plan.group_box(g), policy,
+                                      params.batch)
+                                      .actual_total());
+      }
+      rec->pred_point_passes = std::max(rec->pred_point_passes, passes);
+    }
     rec->pred_rate_pps = 2e8;  // PlanRequest::compute_rate_pps default
     rec->pred_compute_s = rec->pred_point_passes / rec->pred_rate_pps;
-    rec->pred_memory_b = static_cast<std::int64_t>(
-        device::plan_local_pipeline(grid.nx, params.subdomain,
-                                    params.make_policy(), params.batch)
-            .actual_total());
+    rec->pred_memory_b = static_cast<std::int64_t>(memory);
   }
   obs::Tracer& tracer = obs::Tracer::global();
 
   const auto body = [&](comm::Rank& rank) {
-    // Every rank builds the same deterministic engine, seeded with the
-    // plan's octrees: they are reproducible from (grid, params), so only
-    // payloads travel and both sides agree on the framing without any
-    // metadata exchange.
+    // Every rank convolves its groups through one local pipeline, each
+    // group sampled on the plan's octree for its box: trees are
+    // reproducible from (grid, params), so only payloads travel and both
+    // sides agree on the framing without any metadata exchange.
     LocalConvolverConfig cfg;
     cfg.batch = params.batch;
     cfg.pool = nullptr;  // ranks are already threads; keep them single-core
@@ -347,18 +342,19 @@ RealField distributed_lowcomm_convolve(
     // DeviceContext (unlimited spec: tracking only, never admission).
     device::DeviceContext rank_device(device::DeviceSpec::unlimited());
     if (rec != nullptr) cfg.device = &rank_device;
-    LowCommConvolution engine(grid, kernel, params, cfg);
+    const LocalConvolver convolver(grid, kernel, cfg);
     const int me = rank.id();
-    const auto& mine = plan.owned(me);
-    for (const std::size_t d : mine) engine.seed_octree(d, plan.octree(d));
+    const auto& mine = plan.groups_of(me);
 
     std::vector<sampling::CompressedField> local;
     local.reserve(mine.size());
     {
       LC_TRACE("exchange.local_convolve");
       const std::int64_t t0 = tracer.now_ns();
-      for (const std::size_t d : mine) {
-        local.push_back(engine.convolve_one(input, d));
+      for (const std::size_t g : mine) {
+        const Box3& box = plan.group_box(g);
+        local.push_back(convolver.convolve_subdomain(input.extract(box),
+                                                     box.lo, plan.octree(g)));
       }
       // Telemetry's measured compute is the slowest rank's local-convolve
       // time — the quantity the compute model predicts.
@@ -376,17 +372,17 @@ RealField distributed_lowcomm_convolve(
       raise_to(rec->meas_max_quant_error, exchanged.max_quant_error);
     }
 
-    // Streaming unpack: sources in (rank, owned sub-domain) order — the
-    // order accumulate_region would take a full contribution vector in, so
-    // every tile gets the same bits — each decoded into one field (cells
-    // this rank does not read stay zero), added into every owned tile, and
-    // dropped. A received buffer is released once decoded.
+    // Streaming unpack: sources in (rank, group) order, each group's
+    // contribution decoded into one field (cells this rank does not read
+    // stay zero), added into every owned group tile, and dropped. A
+    // received buffer is released once decoded. The order is fixed by the
+    // plan, so both routes and every rerun give the same bits.
     std::vector<Box3> regions;
     std::vector<RealField> tiles;
     regions.reserve(mine.size());
     tiles.reserve(mine.size());
-    for (const std::size_t d : mine) {
-      regions.push_back(plan.decomposition().subdomain(d));
+    for (const std::size_t g : mine) {
+      regions.push_back(plan.group_box(g));
       tiles.emplace_back(regions.back().extents(), 0.0);
     }
     {
@@ -394,12 +390,12 @@ RealField distributed_lowcomm_convolve(
       for (int src = 0; src < workers; ++src) {
         auto& buffer = exchanged.incoming[static_cast<std::size_t>(src)];
         comm::WireDecoder dec(params.wire, buffer);
-        for (const std::size_t d : plan.owned(src)) {
-          sampling::CompressedField c(plan.octree(d));
+        for (const std::size_t g : plan.groups_of(src)) {
+          sampling::CompressedField c(plan.octree(g));
           const auto payload = c.samples();
           const auto cells = c.octree().cells();
           for (std::size_t ci = 0; ci < cells.size(); ++ci) {
-            if (!plan.needed(d, ci, me)) continue;
+            if (!plan.needed(g, ci, me)) continue;
             dec.read_cell(payload.subspan(cells[ci].sample_offset,
                                           cells[ci].sample_count()));
           }

@@ -136,14 +136,17 @@ struct LocalJob {
 /// vector order at each point, so the bits equal accumulate_full's.
 void run_local(std::span<LocalJob* const> jobs, ThreadPool* pool);
 
-/// Distributed run over a simulated cluster: ranks convolve their assigned
-/// sub-domains locally, then exchange compressed samples in ONE
-/// personalised exchange — each octree cell's samples travel only to the
-/// ranks whose regions intersect that cell (the paper's "only sparse
-/// samples are exchanged at the end"). Each rank accumulates the regions of
-/// its own sub-domains. Returns the assembled full field (stitched in
-/// shared memory for verification) and leaves the byte / round counts in
-/// `cluster.stats()`.
+/// Distributed run over a simulated cluster: each rank convolves its
+/// groups (DomainDecomposition::groups_of — maximal rectangles of its
+/// owned sub-domains within one z-layer, each one X×Y×k chunk through one
+/// local pipeline, sampled on one octree built around the group box; by
+/// linearity the group's contribution is the sum of its members'), then
+/// the ranks exchange compressed samples in ONE personalised exchange —
+/// each octree cell's samples travel only to the ranks whose regions
+/// intersect that cell (the paper's "only sparse samples are exchanged at
+/// the end"). Each rank accumulates the regions of its own groups. Returns
+/// the assembled full field (stitched in shared memory for verification)
+/// and leaves the byte / round counts in `cluster.stats()`.
 ///
 /// The exchange metadata (octrees, destination masks, size table) comes
 /// from an ExchangePlan kept in the cluster's memo slot: the first call for
@@ -158,37 +161,32 @@ void run_local(std::span<LocalJob* const> jobs, ThreadPool* pool);
 /// every rank receives exactly what the flat route delivers it, and the
 /// numeric result is identical — only the routing changes.
 ///
-/// Each rank holds its owned output tiles plus one decoded source field at
-/// a time: received contributions are added into the tiles one by one, in
-/// the (source rank, owned sub-domain) order that keeps the bits of
-/// accumulate_region over the full contribution vector.
+/// Each rank holds one output tile per owned group plus one decoded source
+/// field at a time: received contributions are added into the tiles one by
+/// one, in (source rank, group) order — the bits of accumulate_region over
+/// that contribution vector, on either route.
 [[nodiscard]] RealField distributed_lowcomm_convolve(
     comm::SimCluster& cluster, const RealField& input, const Grid3& grid,
     std::shared_ptr<const green::KernelSpectrum> kernel,
     const LowCommParams& params, ExchangeRoute route = ExchangeRoute::kAuto);
 
 /// Exact number of wire bytes the personalised exchange above moves across
-/// the network for `workers` ranks (self-delivery excluded) — the
-/// executable counterpart of Eqn 6's "k³ + sparse samples" volume, priced
-/// under the engine's wire codec (encoded bundle bytes, rounded up to
+/// the network for `workers` ranks on the flat route (self-delivery
+/// excluded) — the executable counterpart of Eqn 6's "k³ + sparse samples"
+/// volume, priced under `params.wire` (encoded bundle bytes, rounded up to
 /// whole wire doubles per destination buffer exactly as executed).
-[[nodiscard]] std::size_t lowcomm_exchange_bytes(
-    const LowCommConvolution& engine, int workers);
+[[nodiscard]] std::size_t lowcomm_exchange_bytes(const Grid3& grid,
+                                                 const LowCommParams& params,
+                                                 int workers);
 
 /// Static per-level WIRE traffic of the exchange `route` would execute on
-/// `topo` — computed from the deterministic octrees alone, without running
-/// anything. Mirrors the message schedule exactly (empty messages
-/// included), so the returned bytes/messages equal the deltas SimCluster's
-/// per-level CommStats records for the exchange collective, and feed
-/// comm::predict_exchange_times for per-level α-β predictions.
-[[nodiscard]] comm::LevelTraffic lowcomm_exchange_traffic(
-    const LowCommConvolution& engine, const comm::Topology& topo,
-    ExchangeRoute route = ExchangeRoute::kAuto);
-
-/// Same static traffic mirror, computed from (grid, params) alone — no
-/// engine, kernel, or FFT plan needed. The octrees are deterministic in the
-/// sampling policy, so this is exactly what an engine-backed run would move;
-/// the planner prices candidate plans with it.
+/// `topo`, computed from (grid, params) alone — no engine, kernel, or FFT
+/// plan needed. The group octrees are deterministic in the sampling policy,
+/// so this is exactly what distributed_lowcomm_convolve moves: it mirrors
+/// the message schedule (empty messages included), so the returned
+/// bytes/messages equal the deltas SimCluster's per-level CommStats records
+/// for the exchange collective, and feed comm::predict_exchange_times for
+/// per-level α-β predictions. The planner prices candidate plans with it.
 [[nodiscard]] comm::LevelTraffic lowcomm_exchange_traffic(
     const Grid3& grid, const LowCommParams& params, const comm::Topology& topo,
     ExchangeRoute route = ExchangeRoute::kAuto);

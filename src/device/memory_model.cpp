@@ -45,24 +45,27 @@ std::size_t local_fft_spectrum_bytes(i64 n, i64 k, bool real_path) {
          static_cast<std::size_t>(k);
 }
 
-PipelinePlan plan_local_pipeline(i64 n, i64 k,
+PipelinePlan plan_local_pipeline(i64 n, const Box3& chunk,
                                  const sampling::SamplingPolicy& policy,
                                  std::size_t batch, bool real_path) {
-  LC_CHECK_ARG(k >= 1 && k <= n, "sub-domain size outside grid");
   const Grid3 grid = Grid3::cube(n);
-  // Octree construction touches only cell metadata (no dense arrays), so
-  // planning at paper-scale N (up to 8192³) is cheap.
-  const sampling::Octree tree(grid, Box3::cube_at({0, 0, 0}, k), policy);
+  LC_CHECK_ARG(!chunk.empty() && Box3::of(grid).contains(chunk),
+               "chunk box outside grid");
+  // The octree's leaf walk without its cells: planning at paper-scale N
+  // (hundreds of millions of cells at 8192³) needs only the counts.
+  const sampling::OctreeShape tree =
+      sampling::octree_shape(grid, chunk, policy);
+  const Grid3 ext = chunk.extents();
 
   PipelinePlan plan;
-  plan.chunk_bytes = kReal * cube(k);
-  plan.slab_bytes =
-      kComplex * spec_plane_elems(n, real_path) * static_cast<std::size_t>(k);
-  plan.staging_bytes = kComplex * spec_plane_elems(n, real_path) *
-                       tree.retained_z_planes().size();
+  plan.chunk_bytes = kReal * ext.size();
+  plan.slab_bytes = kComplex * spec_plane_elems(n, real_path) *
+                    static_cast<std::size_t>(ext.nz);
+  plan.staging_bytes =
+      kComplex * spec_plane_elems(n, real_path) * tree.retained_planes;
   plan.pencil_bytes = 2 * kComplex * batch * static_cast<std::size_t>(n);
-  plan.payload_bytes = kReal * tree.total_samples();
-  plan.metadata_bytes = tree.cells().size() * 5 * sizeof(std::int32_t);
+  plan.payload_bytes = kReal * tree.samples;
+  plan.metadata_bytes = tree.cells * 5 * sizeof(std::int32_t);
   // cuFFT-like workspace: double-precision c2c plans may require scratch up
   // to twice the transform size — the batched 2D plan mirrors the slab
   // (×2), the batched 1D z-plan one pencil batch, plus (real path) the N²
@@ -71,6 +74,14 @@ PipelinePlan plan_local_pipeline(i64 n, i64 k,
   plan.workspace_bytes = 2 * plan.slab_bytes + plan.pencil_bytes / 2 +
                          (real_path ? kReal * square(n) : 0);
   return plan;
+}
+
+PipelinePlan plan_local_pipeline(i64 n, i64 k,
+                                 const sampling::SamplingPolicy& policy,
+                                 std::size_t batch, bool real_path) {
+  LC_CHECK_ARG(k >= 1 && k <= n, "sub-domain size outside grid");
+  return plan_local_pipeline(n, Box3::cube_at({0, 0, 0}, k), policy, batch,
+                             real_path);
 }
 
 PipelinePlan estimate_local_pipeline(i64 n, i64 k, i64 far_rate,

@@ -18,10 +18,10 @@
 
 namespace lc::device {
 
-/// Sizes (bytes) of each buffer class in one sub-domain's local pipeline.
+/// Sizes (bytes) of each buffer class in one chunk's local pipeline.
 struct PipelinePlan {
-  std::size_t chunk_bytes = 0;      ///< k³ real input chunk
-  std::size_t slab_bytes = 0;       ///< N×N×k complex slab (xy stage)
+  std::size_t chunk_bytes = 0;      ///< X×Y×Z real input chunk
+  std::size_t slab_bytes = 0;       ///< N×N×Z complex slab (xy stage)
   std::size_t staging_bytes = 0;    ///< N² complex per retained z-plane
   std::size_t pencil_bytes = 0;     ///< 2 × B×N complex z-pencil batches
   std::size_t payload_bytes = 0;    ///< compressed sample payload (double)
@@ -56,12 +56,19 @@ struct PipelinePlan {
 [[nodiscard]] std::size_t local_fft_spectrum_bytes(i64 n, i64 k,
                                                    bool real_path);
 
-/// Full allocation plan of the local pipeline for one k³ sub-domain of an
-/// n³ grid under `policy`, with z-pencil batch size `batch`. The default
-/// prices the half-spectrum pipeline the engine runs (slab/staging hold
-/// only the nx/2+1 x-bins, plus the c2r store lane's N² real plane);
-/// `real_path` false prices the paper's full c2c pipeline instead, for the
-/// paper columns of Table 4.
+/// Full allocation plan of the local pipeline for one X×Y×Z chunk `chunk`
+/// of an n³ grid (a sub-domain, or a group of them on the distributed
+/// path) under `policy`, with z-pencil batch size `batch`. The slab holds
+/// Z spectral planes, the payload and staging follow the octree built
+/// around the chunk box. The default prices the half-spectrum pipeline the
+/// engine runs (slab/staging hold only the nx/2+1 x-bins, plus the c2r
+/// store lane's N² real plane); `real_path` false prices the paper's full
+/// c2c pipeline instead, for the paper columns of Table 4.
+[[nodiscard]] PipelinePlan plan_local_pipeline(
+    i64 n, const Box3& chunk, const sampling::SamplingPolicy& policy,
+    std::size_t batch, bool real_path = true);
+
+/// The same plan for one k³ sub-domain at the grid origin.
 [[nodiscard]] PipelinePlan plan_local_pipeline(
     i64 n, i64 k, const sampling::SamplingPolicy& policy, std::size_t batch,
     bool real_path = true);

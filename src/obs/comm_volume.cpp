@@ -54,8 +54,9 @@ CommVolumeReport measure_impl(const core::LowCommConvolution& engine,
 
 CommVolumeReport measure_comm_volume(const core::LowCommConvolution& engine,
                                      int workers) {
-  return measure_impl(engine, workers,
-                      core::lowcomm_exchange_bytes(engine, workers));
+  const std::size_t wire = core::lowcomm_exchange_bytes(
+      engine.decomposition().grid(), engine.params(), workers);
+  return measure_impl(engine, workers, wire);
 }
 
 CommVolumeReport measure_comm_volume(const core::LowCommConvolution& engine,
@@ -67,15 +68,17 @@ CommVolumeReport measure_comm_volume(const core::LowCommConvolution& engine,
 CommVolumeReport measure_comm_volume(const core::LowCommConvolution& engine,
                                      const comm::Topology& topo,
                                      core::ExchangeRoute route) {
+  const Grid3& grid = engine.decomposition().grid();
   const comm::LevelTraffic traffic =
-      core::lowcomm_exchange_traffic(engine, topo, route);
+      core::lowcomm_exchange_traffic(grid, engine.params(), topo, route);
   CommVolumeReport rep =
       measure_impl(engine, topo.ranks(), traffic.total_bytes());
   rep.nodes = topo.nodes();
   rep.intra_wire_bytes = traffic.intra_bytes;
   rep.inter_wire_bytes = traffic.inter_bytes;
   rep.flat_inter_wire_bytes =
-      core::lowcomm_exchange_traffic(engine, topo, core::ExchangeRoute::kFlat)
+      core::lowcomm_exchange_traffic(grid, engine.params(), topo,
+                                     core::ExchangeRoute::kFlat)
           .inter_bytes;
   return rep;
 }

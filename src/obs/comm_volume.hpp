@@ -103,8 +103,11 @@ struct CommVolumeReport {
 };
 
 /// Measure the exchange volume of `engine`'s configuration by walking its
-/// per-sub-domain octrees (no convolution is run). `workers` sets the rank
-/// count for the static wire-byte computation (core::lowcomm_exchange_bytes).
+/// per-sub-domain octrees (no convolution is run): the payload and
+/// interior rows are per sub-domain, as Eqn 6 counts them. `workers` sets
+/// the rank count for the static wire-byte computation
+/// (core::lowcomm_exchange_bytes), which prices the exchange as executed,
+/// on each rank's group trees.
 [[nodiscard]] CommVolumeReport measure_comm_volume(
     const core::LowCommConvolution& engine, int workers);
 

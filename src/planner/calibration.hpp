@@ -47,10 +47,9 @@ struct Calibration {
   [[nodiscard]] std::string cache_salt() const;
 };
 
-/// Records below this count yield an invalid fit. Two is deliberate: one
-/// observability-demo run emits two distributed records (flat +
-/// hierarchical), so a single demo run is already fittable, while one lone
-/// record never is.
+/// Records below this count yield an invalid fit. Two is deliberate: a
+/// single distributed call on each route (flat + hierarchical) is already
+/// fittable, while one lone record never is.
 inline constexpr int kMinCalibrationSamples = 2;
 
 /// Fit a calibration from plan-vs-actual records. Only non-aborted records

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/check.hpp"
+#include "core/decomposition.hpp"
 #include "core/hyperparams.hpp"
 #include "device/memory_model.hpp"
 #include "obs/metrics.hpp"
@@ -49,6 +50,17 @@ BlockShape block_shape(i64 n, const core::LowCommParams& params) {
           tree.cells().size()};
 }
 
+/// Local pipelines the busiest rank runs per call at sub-domain size k. A
+/// multi-rank plan executes on the distributed path, one pipeline per group
+/// (DomainDecomposition::groups_of); a single-rank request is the service's
+/// in-process executor, one pipeline per sub-domain.
+double pipelines_per_rank(const PlanRequest& req, i64 k) {
+  const i64 per_axis = req.n / k;
+  if (req.ranks <= 1) return cube(static_cast<double>(per_axis));
+  return static_cast<double>(
+      core::DomainDecomposition::max_groups_per_rank(per_axis, req.ranks));
+}
+
 /// Uniform ranks-per-node of the topology, or 1 when nodes are uneven (the
 /// closed-form models assume uniform nodes; the exact stage does not).
 int uniform_ranks_per_node(const comm::Topology& topo) {
@@ -81,9 +93,10 @@ std::size_t fit_batch(i64 n, const core::LowCommParams& params,
 
 /// Closed-form price of a block candidate (screening stage). `shape` is the
 /// representative sub-domain octree, memoized by the caller per
-/// (k, schedule, r) — codecs and routes reprice it without rebuilding.
+/// (k, schedule, r) — codecs and routes reprice it without rebuilding —
+/// and `pipelines` is pipelines_per_rank at the candidate's k.
 CandidateCost price_block(const PlanRequest& req, const Candidate& c,
-                          const BlockShape& shape) {
+                          const BlockShape& shape, double pipelines) {
   CandidateCost cost;
   const core::LowCommParams& p = c.params;
   const i64 n = req.n;
@@ -103,17 +116,22 @@ CandidateCost price_block(const PlanRequest& req, const Candidate& c,
   const double owned =
       std::ceil(subdomains / static_cast<double>(std::max(req.ranks, 1)));
 
-  // Compute model in transform point-passes — obs::modeled_point_passes is
-  // the single source shared with the telemetry emitter, so a rate fitted
-  // from plan-vs-actual history (planner/calibration.hpp) is directly
-  // substitutable for req.compute_rate_pps.
-  const double per_subdomain = obs::modeled_point_passes(n, k, shape.planes);
+  // Compute model in transform point-passes: obs::modeled_point_passes per
+  // local pipeline (a k-deep chunk; the z stage dominates and does not
+  // grow with the chunk's x-y extent), times the pipelines the busiest
+  // rank runs. The telemetry emitter prices each executed pipeline with the
+  // same formula, so a rate fitted from plan-vs-actual history
+  // (planner/calibration.hpp) is directly substitutable for
+  // req.compute_rate_pps.
+  const double per_pipeline = obs::modeled_point_passes(n, k, shape.planes);
   cost.compute_rate_pps = req.compute_rate_pps;
-  cost.compute_seconds = owned * per_subdomain / req.compute_rate_pps;
+  cost.compute_seconds = pipelines * per_pipeline / req.compute_rate_pps;
 
   // Wire model: each rank ships its owned sub-domains' exact octree payload
   // (the executable Eqn-6 volume) as the codec encodes it — per-sample
   // width plus per-cell scale headers — spread by the closed-form schedule.
+  // The executed exchange ships group trees, which hold fewer samples; the
+  // exact stage reprices the shortlist with them.
   const double bytes_per_rank =
       owned * (static_cast<double>(shape.samples) *
                    static_cast<double>(comm::codec_sample_bytes(p.wire)) +
@@ -264,14 +282,15 @@ std::vector<RankedCandidate> Planner::enumerate(
   // The representative octree shape depends only on (k, schedule, r) — one
   // build per rate point, shared across every route × codec variant.
   const auto push_block = [&](const core::LowCommParams& p,
-                              RateSchedule sched, const BlockShape& shape) {
+                              RateSchedule sched, const BlockShape& shape,
+                              double pipelines) {
     for (const core::ExchangeRoute route : routes) {
       Candidate c;
       c.kind = DecompKind::kBlock;
       c.schedule = sched;
       c.route = route;
       c.params = p;
-      out.push_back(RankedCandidate{c, price_block(req, c, shape)});
+      out.push_back(RankedCandidate{c, price_block(req, c, shape, pipelines)});
     }
   };
 
@@ -286,12 +305,13 @@ std::vector<RankedCandidate> Planner::enumerate(
     p.batch = fit_batch(req.n, p, p.batch, req.device);
     push_block(p, p.uniform_rate ? RateSchedule::kUniform
                                  : RateSchedule::kBanded,
-               block_shape(req.n, p));
+               block_shape(req.n, p), pipelines_per_rank(req, p.subdomain));
   } else {
     LC_CHECK_ARG(!config_.codec_grid.empty(), "codec grid must not be empty");
     const std::size_t batch0 = core::recommended_batch(req.n);
     for (const i64 k : core::subdomain_divisors(req.n)) {
       if (k < config_.min_subdomain) continue;
+      const double pipelines = pipelines_per_rank(req, k);
       for (const RateSchedule sched :
            {RateSchedule::kBanded, RateSchedule::kUniform}) {
         for (const i64 r : config_.rate_grid) {
@@ -309,7 +329,7 @@ std::vector<RankedCandidate> Planner::enumerate(
           const BlockShape shape = block_shape(req.n, p);
           for (const comm::WireCodec codec : config_.codec_grid) {
             p.wire = codec;
-            push_block(p, sched, shape);
+            push_block(p, sched, shape, pipelines);
           }
         }
       }

@@ -11,75 +11,130 @@ namespace lc::sampling {
 
 namespace {
 
-/// Per-axis *periodic* distance range: min/max over v in [a_lo, a_hi) of
-/// torus_axis_distance(v, b_lo, b_hi, n). The distance function is zero on
-/// the domain interval and unimodal on the complement arc (it rises to a
-/// single peak midway around the ring), so the extrema over any interval
-/// are attained at the interval endpoints or at the arc peak.
-std::pair<i64, i64> torus_axis_range(i64 a_lo, i64 a_hi, i64 b_lo, i64 b_hi,
-                                     i64 n) {
-  auto f = [&](i64 v) { return torus_axis_distance(v, b_lo, b_hi, n); };
-  const i64 arc = n - (b_hi - b_lo);  // complement length
-  if (arc <= 0) return {0, 0};        // domain covers the whole ring
-
-  const bool overlaps = a_lo < b_hi && b_lo < a_hi;
-  const i64 min_d = overlaps ? 0 : std::min(f(a_lo), f(a_hi - 1));
-
-  i64 max_d = std::max(f(a_lo), f(a_hi - 1));
-  // Arc positions j = 1..arc sit at ring coordinate (b_hi - 1 + j) mod n
-  // with distance min(j, arc + 1 - j); the peak is at j ≈ (arc + 1) / 2.
-  for (const i64 j : {(arc + 1) / 2, arc + 1 - (arc + 1) / 2}) {
-    const i64 v = (b_hi - 1 + j) % n;
-    if (v >= a_lo && v < a_hi) {
-      max_d = std::max(max_d, std::min(j, arc + 1 - j));
+/// The build's lookup tables for one (grid, sub-domain box, policy), and
+/// the recursion over them. A node of the recursion is an aligned cube, so
+/// on each axis it covers one aligned interval: per axis, a bottom-up
+/// heap of 2N entries holds the exact (min, max) periodic distance from
+/// every aligned interval to the box's extent (leaves are the N single
+/// coordinates, a parent takes the min and max of its two children). The
+/// node's Chebyshev distance range is then the max of the three minima and
+/// of the three maxima. rate_[d] is the policy's rate at distance d and
+/// until_[d] the last distance with the same rate, so "one rate over
+/// [min_d, max_d]" is the single compare max_d <= until_[min_d].
+class LeafWalk {
+ public:
+  LeafWalk(const Grid3& grid, const Box3& box, const SamplingPolicy& policy)
+      : n_(grid.nx), band_(policy.boundary_band()) {
+    const auto un = static_cast<std::size_t>(n_);
+    const i64 lo[3] = {box.lo.x, box.lo.y, box.lo.z};
+    const i64 hi[3] = {box.hi.x, box.hi.y, box.hi.z};
+    i64 far = 0;
+    for (int a = 0; a < 3; ++a) {
+      auto& heap = axis_[a];
+      heap.resize(2 * un);
+      for (std::size_t v = 0; v < un; ++v) {
+        const i64 d =
+            torus_axis_distance(static_cast<i64>(v), lo[a], hi[a], n_);
+        heap[un + v] = {d, d};
+      }
+      for (std::size_t j = un - 1; j >= 1; --j) {
+        heap[j] = {std::min(heap[2 * j].first, heap[2 * j + 1].first),
+                   std::max(heap[2 * j].second, heap[2 * j + 1].second)};
+      }
+      far = std::max(far, heap[1].second);
+    }
+    rate_.resize(static_cast<std::size_t>(far) + 1);
+    until_.resize(rate_.size());
+    for (std::size_t d = 0; d < rate_.size(); ++d) {
+      rate_[d] = policy.rate_at_distance(static_cast<i64>(d));
+    }
+    until_.back() = far;
+    for (std::size_t d = rate_.size() - 1; d-- > 0;) {
+      until_[d] = rate_[d + 1] == rate_[d] ? until_[d + 1]
+                                            : static_cast<i64>(d);
     }
   }
-  return {min_d, max_d};
-}
 
-/// Range of the periodic Chebyshev distance from points of `cell` to `dom`
-/// on the torus of side n (cubic grids).
-std::pair<i64, i64> chebyshev_range(const Box3& cell, const Box3& dom,
-                                    i64 n) {
-  const auto [minx, maxx] =
-      torus_axis_range(cell.lo.x, cell.hi.x, dom.lo.x, dom.hi.x, n);
-  const auto [miny, maxy] =
-      torus_axis_range(cell.lo.y, cell.hi.y, dom.lo.y, dom.hi.y, n);
-  const auto [minz, maxz] =
-      torus_axis_range(cell.lo.z, cell.hi.z, dom.lo.z, dom.hi.z, n);
-  return {std::max({minx, miny, minz}), std::max({maxx, maxy, maxz})};
-}
-
-/// Band classification of a distance: -1 inside the sub-domain, band index
-/// otherwise, bands.size() for the far region. Class index is monotone in
-/// distance, so a cell's distance range [min_d, max_d] covers exactly the
-/// classes [class(min_d), class(max_d)].
-int band_class(i64 dist, const std::vector<RateBand>& bands) {
-  if (dist <= 0) return -1;
-  for (std::size_t i = 0; i < bands.size(); ++i) {
-    if (dist <= bands[i].max_distance) return static_cast<int>(i);
+  /// Call leaf(corner, side, rate) for every leaf, in Morton order (the
+  /// octant recursion visits children z-major, x-minor).
+  template <class Leaf>
+  void run(Leaf&& leaf) const {
+    visit(0, 0, 0, 0, leaf);
   }
-  return static_cast<int>(bands.size());
-}
 
-/// Rate of a band class.
-i64 class_rate(int cls, const SamplingPolicy& policy) {
-  if (cls < 0) return 1;
-  if (cls < static_cast<int>(policy.bands().size())) {
-    return policy.bands()[static_cast<std::size_t>(cls)].rate;
-  }
-  return policy.far_rate();
-}
+ private:
+  template <class Leaf>
+  void visit(int level, i64 ix, i64 iy, i64 iz, Leaf& leaf) const {
+    const i64 side = n_ >> level;
+    const std::size_t base = std::size_t{1} << level;
+    const auto& x = axis_[0][base + static_cast<std::size_t>(ix)];
+    const auto& y = axis_[1][base + static_cast<std::size_t>(iy)];
+    const auto& z = axis_[2][base + static_cast<std::size_t>(iz)];
+    const i64 min_d = std::max({x.first, y.first, z.first});
+    const i64 max_d = std::max({x.second, y.second, z.second});
+    const Index3 corner{ix * side, iy * side, iz * side};
 
-/// True iff every class in [class(min_d), class(max_d)] has the same rate.
-bool rate_uniform_over(i64 min_d, i64 max_d, const SamplingPolicy& policy) {
-  const int c0 = band_class(min_d, policy.bands());
-  const int c1 = band_class(max_d, policy.bands());
-  const i64 r0 = class_rate(c0, policy);
-  for (int c = c0 + 1; c <= c1; ++c) {
-    if (class_rate(c, policy) != r0) return false;
+    // Boundary-shell classification (dense band at the grid edge).
+    bool shell_uniform = true;
+    bool in_shell = false;
+    if (band_ > 0) {
+      // min over [lo, lo + side) of min(v, n-1-v), and an upper bound of
+      // the max.
+      const auto bd = [&](i64 lo) {
+        return std::pair<i64, i64>(std::min(lo, n_ - lo - side),
+                                   std::min(lo + side - 1, n_ - 1 - lo));
+      };
+      const auto [minx, maxx] = bd(corner.x);
+      const auto [miny, maxy] = bd(corner.y);
+      const auto [minz, maxz] = bd(corner.z);
+      const i64 min_bd = std::min({minx, miny, minz});
+      const i64 max_bd_bound = std::min({maxx, maxy, maxz});
+      if (min_bd >= band_) {
+        in_shell = false;  // entirely outside the shell
+      } else if (max_bd_bound < band_) {
+        in_shell = true;  // entirely inside the shell
+      } else {
+        shell_uniform = (side == 1);
+        in_shell = min_bd < band_;  // only used when side == 1 (then exact)
+      }
+    }
+
+    const bool rate_uniform =
+        max_d <= until_[static_cast<std::size_t>(min_d)];
+    if ((rate_uniform || in_shell) && shell_uniform) {
+      leaf(corner, side,
+           in_shell ? i64{1}
+                    : std::min(rate_[static_cast<std::size_t>(min_d)], side));
+      return;
+    }
+    if (side == 1) {
+      leaf(corner, i64{1}, i64{1});
+      return;
+    }
+    for (i64 dz = 0; dz < 2; ++dz) {
+      for (i64 dy = 0; dy < 2; ++dy) {
+        for (i64 dx = 0; dx < 2; ++dx) {
+          visit(level + 1, 2 * ix + dx, 2 * iy + dy, 2 * iz + dz, leaf);
+        }
+      }
+    }
   }
-  return true;
+
+  i64 n_;
+  i64 band_;
+  std::vector<std::pair<i64, i64>> axis_[3];  // heap of (min, max) distance
+  std::vector<i64> rate_;                     // rate at distance d
+  std::vector<i64> until_;  // last distance with rate_[d]
+};
+
+/// Checks shared by the octree constructor and octree_shape.
+void check_build_args(const Grid3& grid, const Box3& subdomain) {
+  LC_CHECK_ARG(grid.nx == grid.ny && grid.ny == grid.nz,
+               "octree requires a cubic grid");
+  LC_CHECK_ARG(fft::is_pow2(static_cast<std::size_t>(grid.nx)),
+               "octree requires a power-of-two grid side");
+  LC_CHECK_ARG(Box3::of(grid).contains(subdomain) && !subdomain.empty(),
+               "sub-domain must be a non-empty box inside the grid");
 }
 
 /// Interleaved (z, y, x) Morton key of a point at `levels` bits per axis.
@@ -105,15 +160,33 @@ Octree::Octree(const Grid3& grid, const Box3& subdomain)
 Octree::Octree(const Grid3& grid, const Box3& subdomain,
                const SamplingPolicy& policy)
     : grid_(grid), subdomain_(subdomain) {
-  LC_CHECK_ARG(grid.nx == grid.ny && grid.ny == grid.nz,
-               "octree requires a cubic grid");
-  LC_CHECK_ARG(fft::is_pow2(static_cast<std::size_t>(grid.nx)),
-               "octree requires a power-of-two grid side");
-  LC_CHECK_ARG(Box3::of(grid).contains(subdomain) && !subdomain.empty(),
-               "sub-domain must be a non-empty box inside the grid");
-  build({0, 0, 0}, grid.nx, policy);
+  check_build_args(grid, subdomain);
+  LeafWalk(grid, subdomain, policy).run([&](const Index3& corner, i64 side,
+                                            i64 rate) {
+    cells_.push_back(OctreeCell{corner, side, rate, 0});
+  });
   finalize_offsets();
   build_lookup();
+}
+
+OctreeShape octree_shape(const Grid3& grid, const Box3& subdomain,
+                         const SamplingPolicy& policy) {
+  check_build_args(grid, subdomain);
+  const i64 n = grid.nz;
+  std::vector<char> keep(static_cast<std::size_t>(n), 0);
+  OctreeShape shape;
+  LeafWalk(grid, subdomain, policy).run([&](const Index3& corner, i64 side,
+                                            i64 rate) {
+    const OctreeCell cell{corner, side, rate, 0};
+    ++shape.cells;
+    shape.samples += cell.sample_count();
+    for (i64 iz = 0; iz < cell.samples_per_edge(); ++iz) {
+      keep[static_cast<std::size_t>((corner.z + iz * rate) % n)] = 1;
+    }
+  });
+  shape.retained_planes =
+      static_cast<std::size_t>(std::count(keep.begin(), keep.end(), 1));
+  return shape;
 }
 
 void Octree::build_lookup() {
@@ -128,63 +201,6 @@ void Octree::build_lookup() {
     cell_keys_.push_back(morton_key(c.corner, levels_));
   }
   LC_ASSERT(std::is_sorted(cell_keys_.begin(), cell_keys_.end()));
-}
-
-void Octree::build(const Index3& corner, i64 side,
-                   const SamplingPolicy& policy) {
-  const Box3 cell = Box3::cube_at(corner, side);
-  const auto [min_d, max_d] = chebyshev_range(cell, subdomain_, grid_.nx);
-
-  // Boundary-shell classification (dense band at the grid edge).
-  const i64 band = policy.boundary_band();
-  bool shell_uniform = true;
-  bool in_shell = false;
-  if (band > 0) {
-    auto bd = [&](i64 lo, i64 hi, i64 n) {
-      // min over [lo, hi) of min(v, n-1-v), and an upper bound of the max.
-      const i64 min_v = std::min(lo, n - hi);
-      const i64 max_v = std::min(hi - 1, n - 1 - lo);  // safe upper bound
-      return std::pair<i64, i64>(min_v, max_v);
-    };
-    const auto [minx, maxx] = bd(cell.lo.x, cell.hi.x, grid_.nx);
-    const auto [miny, maxy] = bd(cell.lo.y, cell.hi.y, grid_.ny);
-    const auto [minz, maxz] = bd(cell.lo.z, cell.hi.z, grid_.nz);
-    const i64 min_bd = std::min({minx, miny, minz});
-    const i64 max_bd_bound = std::min({maxx, maxy, maxz});
-    if (min_bd >= band) {
-      in_shell = false;  // entirely outside the shell
-    } else if (max_bd_bound < band) {
-      in_shell = true;  // entirely inside the shell
-    } else {
-      shell_uniform = (side == 1);
-      in_shell = min_bd < band;  // only used when side == 1 (then exact)
-    }
-  }
-
-  const bool rate_uniform = rate_uniform_over(min_d, max_d, policy);
-
-  if ((rate_uniform || in_shell) && shell_uniform) {
-    OctreeCell leaf;
-    leaf.corner = corner;
-    leaf.side = side;
-    leaf.rate = in_shell ? 1 : std::min<i64>(policy.rate_at_distance(min_d), side);
-    cells_.push_back(leaf);
-    return;
-  }
-  if (side == 1) {
-    cells_.push_back(OctreeCell{corner, 1, 1, 0});
-    return;
-  }
-
-  const i64 h = side / 2;
-  for (i64 dz = 0; dz < 2; ++dz) {
-    for (i64 dy = 0; dy < 2; ++dy) {
-      for (i64 dx = 0; dx < 2; ++dx) {
-        build({corner.x + dx * h, corner.y + dy * h, corner.z + dz * h}, h,
-              policy);
-      }
-    }
-  }
 }
 
 void Octree::finalize_offsets() {

@@ -60,7 +60,9 @@ class Octree {
  public:
   /// Build by recursive subdivision: a node becomes a leaf when the policy
   /// assigns one uniform rate to its whole extent (rates capped at the cell
-  /// side so every leaf keeps at least one sample).
+  /// side so every leaf keeps at least one sample). `subdomain` may be any
+  /// box inside the grid (a sub-domain or a group of them); per-axis
+  /// distance tables make each node's test a few lookups (DESIGN.md §12).
   Octree(const Grid3& grid, const Box3& subdomain,
          const SamplingPolicy& policy);
 
@@ -105,7 +107,6 @@ class Octree {
 
  private:
   Octree(const Grid3& grid, const Box3& subdomain);  // for decode
-  void build(const Index3& corner, i64 side, const SamplingPolicy& policy);
   void finalize_offsets();
   /// Fill cell_keys_ with per-cell Morton corner keys (the binary-search
   /// index behind cell_containing). No-op on non-pow2 grids, where
@@ -119,5 +120,19 @@ class Octree {
   int levels_ = 0;
   std::size_t total_ = 0;
 };
+
+/// What the memory model needs of an octree, without its cells.
+struct OctreeShape {
+  std::size_t cells = 0;            ///< leaf count
+  std::size_t samples = 0;          ///< total retained samples
+  std::size_t retained_planes = 0;  ///< retained_z_planes().size()
+};
+
+/// The shape of Octree(grid, subdomain, policy), from the same leaf walk
+/// but storing no cell: planning at paper-scale N (hundreds of millions of
+/// cells) costs the walk's time and an N-entry plane mask.
+[[nodiscard]] OctreeShape octree_shape(const Grid3& grid,
+                                       const Box3& subdomain,
+                                       const SamplingPolicy& policy);
 
 }  // namespace lc::sampling

@@ -424,8 +424,7 @@ TEST_F(LowCommPipelineHierarchical, AutoRoutePicksTopology) {
   const RealField auto_routed =
       core::distributed_lowcomm_convolve(grouped, input, g, kernel, p);
   const comm::LevelTraffic want = core::lowcomm_exchange_traffic(
-      core::LowCommConvolution(g, kernel, p), grouped.topology(),
-      core::ExchangeRoute::kHierarchical);
+      g, p, grouped.topology(), core::ExchangeRoute::kHierarchical);
   EXPECT_EQ(grouped.stats().messages.load(), want.total_messages());
 
   SimCluster flat_cluster(4);
@@ -448,7 +447,6 @@ TEST_F(LowCommPipelineHierarchical, StaticTrafficMirrorsExecutedStats) {
   const RealField input = random_field(g, 3);
   const auto p = params(16, 2);
   const Topology topo = Topology::grouped(4, 2);
-  const core::LowCommConvolution engine(g, kernel, p);
 
   for (const auto route :
        {core::ExchangeRoute::kFlat, core::ExchangeRoute::kHierarchical}) {
@@ -456,7 +454,7 @@ TEST_F(LowCommPipelineHierarchical, StaticTrafficMirrorsExecutedStats) {
     (void)core::distributed_lowcomm_convolve(cluster, input, g, kernel, p,
                                              route);
     const comm::LevelTraffic want =
-        core::lowcomm_exchange_traffic(engine, topo, route);
+        core::lowcomm_exchange_traffic(g, p, topo, route);
     const comm::LevelTraffic got = cluster.stats().level_traffic();
     EXPECT_EQ(got.intra_bytes, want.intra_bytes);
     EXPECT_EQ(got.inter_bytes, want.inter_bytes);
@@ -474,15 +472,13 @@ TEST_F(LowCommPipelineHierarchical, GroupedRouteCutsInterNodeBytes) {
   // rank a cell-aligned cube, node-local sharing vanishes, and the two
   // routes tie on bytes (locality already captured the dedup win).
   const Grid3 g = Grid3::cube(64);
-  const auto kernel = std::make_shared<green::GaussianSpectrum>(g, 2.0);
   const auto p = params(16, 4);
-  const core::LowCommConvolution engine(g, kernel, p);
   const Topology topo = Topology::grouped(12, 4);
 
   const auto flat =
-      core::lowcomm_exchange_traffic(engine, topo, core::ExchangeRoute::kFlat);
+      core::lowcomm_exchange_traffic(g, p, topo, core::ExchangeRoute::kFlat);
   const auto hier = core::lowcomm_exchange_traffic(
-      engine, topo, core::ExchangeRoute::kHierarchical);
+      g, p, topo, core::ExchangeRoute::kHierarchical);
   EXPECT_LT(hier.inter_bytes, flat.inter_bytes);
   EXPECT_LT(hier.inter_messages, flat.inter_messages);
   // Payload conservation: whatever the route, every (cell, destination
@@ -532,20 +528,27 @@ TEST_F(LowCommPipelineHierarchical, ScheduleSweepMatchesFlatRouteAndMirror) {
         }
         expect_bit_equal(outputs[0], outputs[1], what);
 
-        // The exchange alone, both routes on the same local contributions.
+        // The exchange alone, both routes on the same local contributions:
+        // one per group, each group's box convolved as one chunk on the
+        // plan's group octree (the two plans number groups alike).
         const core::ExchangePlan flat_plan(g, p, topo, routes[0]);
         const core::ExchangePlan hier_plan(g, p, topo, routes[1]);
-        const core::LowCommConvolution engine(g, kernel, p);
+        const core::LocalConvolver convolver(g, kernel);
         std::vector<sampling::CompressedField> fields;
-        for (std::size_t d = 0; d < engine.decomposition().count(); ++d) {
-          fields.push_back(engine.convolve_one(input, d));
+        for (int r = 0; r < topo.ranks(); ++r) {
+          for (const std::size_t grp : flat_plan.groups_of(r)) {
+            const Box3& box = flat_plan.group_box(grp);
+            ASSERT_EQ(box, hier_plan.group_box(grp)) << what;
+            fields.push_back(convolver.convolve_subdomain(
+                input.extract(box), box.lo, flat_plan.octree(grp)));
+          }
         }
         std::atomic<int> differing{0};
         SimCluster cluster(topo);
         cluster.run([&](Rank& rank) {
           std::vector<sampling::CompressedField> local;
-          for (const std::size_t d : flat_plan.owned(rank.id())) {
-            local.push_back(fields[d]);
+          for (const std::size_t grp : flat_plan.groups_of(rank.id())) {
+            local.push_back(fields[grp]);
           }
           const auto flat =
               core::exchange_samples(rank, flat_plan, local).incoming;
@@ -611,14 +614,13 @@ TEST_F(LowCommPipelineWire, StaticMirrorMatchesExecutedStatsUnderEveryCodec) {
   for (const WireCodec codec : kAllWireCodecs) {
     auto p = params(16, 2);
     p.wire = codec;
-    const core::LowCommConvolution engine(g, kernel, p);
     for (const auto route :
          {core::ExchangeRoute::kFlat, core::ExchangeRoute::kHierarchical}) {
       SimCluster cluster(topo);
       (void)core::distributed_lowcomm_convolve(cluster, input, g, kernel, p,
                                                route);
       const comm::LevelTraffic want =
-          core::lowcomm_exchange_traffic(engine, topo, route);
+          core::lowcomm_exchange_traffic(g, p, topo, route);
       const comm::LevelTraffic got = cluster.stats().level_traffic();
       EXPECT_EQ(got.intra_bytes, want.intra_bytes) << codec_name(codec);
       EXPECT_EQ(got.inter_bytes, want.inter_bytes) << codec_name(codec);
@@ -636,21 +638,19 @@ TEST_F(LowCommPipelineWire, ExchangeBytesOracleMatchesFlatRunUnderQ16) {
   const RealField input = random_field(g, 23);
   auto p = params(16, 2);
   p.wire = WireCodec::kQ16;
-  const core::LowCommConvolution engine(g, kernel, p);
 
   SimCluster cluster(Topology::flat(4));
   (void)core::distributed_lowcomm_convolve(cluster, input, g, kernel, p,
                                            core::ExchangeRoute::kFlat);
   EXPECT_EQ(cluster.stats().bytes_sent.load(),
-            core::lowcomm_exchange_bytes(engine, 4));
+            core::lowcomm_exchange_bytes(g, p, 4));
 
   // And the 2-byte codec must actually cut the volume vs fp64: ≥2× fewer
   // wire bytes even with the per-cell scale headers.
   auto p_off = params(16, 2);
   p_off.wire = WireCodec::kOff;
-  const core::LowCommConvolution engine_off(g, kernel, p_off);
-  EXPECT_GE(core::lowcomm_exchange_bytes(engine_off, 4),
-            2 * core::lowcomm_exchange_bytes(engine, 4));
+  EXPECT_GE(core::lowcomm_exchange_bytes(g, p_off, 4),
+            2 * core::lowcomm_exchange_bytes(g, p, 4));
 }
 
 TEST_F(LowCommPipelineWire, RepeatedRunsBitIdenticalUnderQ16) {

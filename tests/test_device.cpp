@@ -3,6 +3,7 @@
 
 #include "device/device.hpp"
 #include "device/memory_model.hpp"
+#include "sampling/octree.hpp"
 
 namespace lc::device {
 namespace {
@@ -115,6 +116,39 @@ TEST(MemoryModel, PlanScalesWithGridAndSubdomain) {
   const auto bigger_n = plan_local_pipeline(512, 32, p32, 1024);
   EXPECT_GT(bigger_k.actual_total(), small.actual_total());
   EXPECT_GT(bigger_n.actual_total(), small.actual_total());
+}
+
+TEST(OctreeShape, PlanCountsMatchMaterialisedOctree) {
+  // plan_local_pipeline takes its cell count, sample total and retained
+  // planes from the octree's leaf walk without storing cells; they must be
+  // a materialised Octree's, for sub-domain cubes and group boxes, with and
+  // without the dense boundary band.
+  constexpr std::size_t kComplex = 16;
+  for (const i64 n : {64, 256}) {
+    const i64 k = n / 4;
+    const Box3 boxes[] = {Box3::cube_at({0, 0, 0}, k),
+                          Box3::cube_at({k, 2 * k, k}, k),
+                          Box3{{0, 2 * k, 3 * k}, {n, n, 4 * k}}};
+    for (const i64 band : {0, 2}) {
+      const auto policy = sampling::SamplingPolicy::paper_default(k, 16, band);
+      for (const Box3& box : boxes) {
+        const sampling::Octree tree(Grid3::cube(n), box, policy);
+        const PipelinePlan plan = plan_local_pipeline(n, box, policy, 256);
+        const std::size_t spec = static_cast<std::size_t>(n / 2 + 1) *
+                                 static_cast<std::size_t>(n);
+        EXPECT_EQ(plan.payload_bytes, tree.total_samples() * sizeof(double));
+        EXPECT_EQ(plan.metadata_bytes, tree.cells().size() * 5 * 4);
+        EXPECT_EQ(plan.staging_bytes,
+                  kComplex * spec * tree.retained_z_planes().size());
+        EXPECT_EQ(plan.chunk_bytes, box.volume() * sizeof(double));
+        EXPECT_EQ(plan.slab_bytes, kComplex * spec *
+                                       static_cast<std::size_t>(k));
+      }
+      // The k overload prices the cube at the origin.
+      EXPECT_EQ(plan_local_pipeline(n, k, policy, 256).actual_total(),
+                plan_local_pipeline(n, boxes[0], policy, 256).actual_total());
+    }
+  }
 }
 
 TEST(MemoryModel, PaperScalePlanningIsFeasible) {

@@ -18,6 +18,7 @@
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "core/pipeline.hpp"
+#include "device/memory_model.hpp"
 #include "green/gaussian.hpp"
 #include "obs/comm_volume.hpp"
 #include "obs/metrics.hpp"
@@ -323,7 +324,7 @@ TEST(ObsCommVolume, WireBytesMatchSimClusterMeasurement) {
   const std::size_t measured = cluster.stats().bytes_sent.load();
 
   core::LowCommConvolution engine(grid, kernel, params);
-  EXPECT_EQ(measured, core::lowcomm_exchange_bytes(engine, ranks));
+  EXPECT_EQ(measured, core::lowcomm_exchange_bytes(grid, params, ranks));
 
   const obs::CommVolumeReport rep =
       obs::measure_comm_volume(engine, ranks, measured);
@@ -360,9 +361,8 @@ TEST(ObsCommVolume, HierarchicalExchangeCountersMatchLevelTraffic) {
   EXPECT_GT(inter_delta, 0u);
   EXPECT_GT(intra_delta, 0u);
 
-  core::LowCommConvolution engine(grid, kernel, params);
   const comm::LevelTraffic mirror = core::lowcomm_exchange_traffic(
-      engine, topo, core::ExchangeRoute::kHierarchical);
+      grid, params, topo, core::ExchangeRoute::kHierarchical);
   EXPECT_EQ(inter_delta, mirror.inter_bytes);
   EXPECT_EQ(intra_delta, mirror.intra_bytes);
 
@@ -766,18 +766,36 @@ TEST(ObsTelemetry, DistributedConvolveEmitsOnePlanOutcome) {
   EXPECT_GT(rec.pred_rate_pps, 0.0);
 
   // The predictions are the ones a per-call octree walk gives: the flat
-  // exchange's pinned volume and the compute formula over a freshly built
-  // central octree (sub-domain (1,1,1) of the 2×2×2 decomposition).
-  EXPECT_EQ(rec.pred_bytes, 186624);
+  // exchange's pinned volume, and per rank one group — its z-layer of the
+  // 2×2×2 decomposition, 32×32×16 — priced by the compute formula over a
+  // freshly built group octree and by the group's pipeline plan, which
+  // must equal the measured per-rank allocation peak exactly.
+  EXPECT_EQ(rec.pred_bytes, 46656);
   EXPECT_EQ(rec.pred_intra_bytes, 0);
-  EXPECT_EQ(rec.pred_inter_bytes, 186624);
+  EXPECT_EQ(rec.pred_inter_bytes, 46656);
   EXPECT_EQ(rec.pred_intra_msgs, 0);
   EXPECT_EQ(rec.pred_inter_msgs, 2);
-  const sampling::Octree central(grid, Box3::cube_at({16, 16, 16}, 16),
-                                 params.make_policy());
-  EXPECT_EQ(rec.pred_point_passes,
-            4.0 * obs::modeled_point_passes(
-                      32, 16, central.retained_z_planes().size()));
+  const core::DomainDecomposition decomp(grid, 16);
+  double passes = 0.0;
+  std::int64_t memory = 0;
+  for (int r = 0; r < ranks; ++r) {
+    const auto groups = decomp.groups_of(r, ranks);
+    ASSERT_EQ(groups.size(), 1u);
+    EXPECT_EQ(groups[0], (Box3{{0, 0, 16 * r}, {32, 32, 16 * r + 16}}));
+    const sampling::Octree tree(grid, groups[0], params.make_policy());
+    passes = std::max(passes, obs::modeled_point_passes(
+                                  32, 16, tree.retained_z_planes().size()));
+    memory = std::max(
+        memory, static_cast<std::int64_t>(
+                    device::plan_local_pipeline(32, groups[0],
+                                                params.make_policy(),
+                                                params.batch)
+                        .actual_total()));
+  }
+  EXPECT_EQ(rec.pred_point_passes, passes);
+  EXPECT_EQ(rec.pred_memory_b, memory);
+  EXPECT_GT(rec.meas_memory_peak_b, 0);
+  EXPECT_EQ(rec.pred_memory_b, rec.meas_memory_peak_b);
 
   // A second call on the same cluster reuses its exchange plan; every
   // prediction must come out the same.

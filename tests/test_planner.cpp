@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <algorithm>
 #include <cstdlib>
 #include <limits>
 
@@ -258,6 +259,47 @@ TEST(Planner, PickWithinTenPercentOfExhaustiveExactSweep) {
   EXPECT_LE(exact_total(picked), 1.10 * best)
       << "planner pick " << plan.choice.name()
       << " more than 10% above the exhaustive exact sweep";
+}
+
+TEST(Planner, ComputePricesTheExecutedPipelines) {
+  // The closed-form compute term counts the local pipelines that run. On
+  // the distributed path that is the busiest rank's groups, each priced
+  // like the telemetry emitter prices an executed group pipeline, so a
+  // fitted rate substitutes directly. A single-rank request (the service's
+  // in-process executor) runs one pipeline per sub-domain.
+  const i64 n = 64;
+  const Grid3 grid = Grid3::cube(n);
+  const core::LowCommParams p = params_of(16, 4);
+  const auto priced_passes = [&](const comm::Topology& topo) {
+    PlanRequest req;
+    req.n = n;
+    req.ranks = topo.ranks();
+    req.topology = topo;
+    req.pinned = p;
+    const ExecutionPlan plan = Planner().plan(req);
+    return plan.cost.compute_seconds * plan.cost.compute_rate_pps;
+  };
+  for (const comm::Topology& topo :
+       {comm::Topology::grouped(4, 2), comm::Topology::flat(6)}) {
+    const core::ExchangePlan exchange(grid, p, topo,
+                                      core::ExchangeRoute::kFlat);
+    double executed = 0.0;
+    for (int r = 0; r < topo.ranks(); ++r) {
+      double passes = 0.0;
+      for (const std::size_t g : exchange.groups_of(r)) {
+        passes += obs::modeled_point_passes(
+            n, p.subdomain, exchange.octree(g)->retained_z_planes().size());
+      }
+      executed = std::max(executed, passes);
+    }
+    EXPECT_NEAR(priced_passes(topo) / executed, 1.0, 0.05)
+        << topo.ranks() << " ranks";
+  }
+  // 4 ranks own a 4×2×2 Morton block each of the 4×4×4 lattice: two group
+  // pipelines, against 64 sub-domain pipelines on one rank.
+  EXPECT_DOUBLE_EQ(priced_passes(comm::Topology::flat(1)) /
+                       priced_passes(comm::Topology::grouped(4, 2)),
+                   32.0);
 }
 
 TEST(Planner, PinnedModeRepairsIllegalSubdomain) {

@@ -2,10 +2,12 @@
 // compressed-field reconstruction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <numbers>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -207,6 +209,209 @@ TEST(Octree, UniformRateOnePolicyGivesOneDenseCell) {
   // Everything is rate 1 → root is a single uniform cell.
   ASSERT_EQ(t.cells().size(), 1u);
   EXPECT_EQ(t.total_samples(), g.size());
+}
+
+// The recursive predicate build the table-driven build replaced, kept as
+// the reference: each node asks for its exact periodic Chebyshev distance
+// range per axis and tests the policy's band classes over it.
+std::pair<i64, i64> reference_axis_range(i64 a_lo, i64 a_hi, i64 b_lo,
+                                         i64 b_hi, i64 n) {
+  auto f = [&](i64 v) { return torus_axis_distance(v, b_lo, b_hi, n); };
+  const i64 arc = n - (b_hi - b_lo);
+  if (arc <= 0) return {0, 0};
+  const bool overlaps = a_lo < b_hi && b_lo < a_hi;
+  const i64 min_d = overlaps ? 0 : std::min(f(a_lo), f(a_hi - 1));
+  i64 max_d = std::max(f(a_lo), f(a_hi - 1));
+  for (const i64 j : {(arc + 1) / 2, arc + 1 - (arc + 1) / 2}) {
+    const i64 v = (b_hi - 1 + j) % n;
+    if (v >= a_lo && v < a_hi) {
+      max_d = std::max(max_d, std::min(j, arc + 1 - j));
+    }
+  }
+  return {min_d, max_d};
+}
+
+int reference_band_class(i64 dist, const std::vector<RateBand>& bands) {
+  if (dist <= 0) return -1;
+  for (std::size_t i = 0; i < bands.size(); ++i) {
+    if (dist <= bands[i].max_distance) return static_cast<int>(i);
+  }
+  return static_cast<int>(bands.size());
+}
+
+i64 reference_class_rate(int cls, const SamplingPolicy& policy) {
+  if (cls < 0) return 1;
+  if (cls < static_cast<int>(policy.bands().size())) {
+    return policy.bands()[static_cast<std::size_t>(cls)].rate;
+  }
+  return policy.far_rate();
+}
+
+void reference_build(const Grid3& grid, const Box3& dom,
+                     const SamplingPolicy& policy, const Index3& corner,
+                     i64 side, std::vector<OctreeCell>& out) {
+  const Box3 cell = Box3::cube_at(corner, side);
+  const i64 n = grid.nx;
+  const auto [minx, maxx] =
+      reference_axis_range(cell.lo.x, cell.hi.x, dom.lo.x, dom.hi.x, n);
+  const auto [miny, maxy] =
+      reference_axis_range(cell.lo.y, cell.hi.y, dom.lo.y, dom.hi.y, n);
+  const auto [minz, maxz] =
+      reference_axis_range(cell.lo.z, cell.hi.z, dom.lo.z, dom.hi.z, n);
+  const i64 min_d = std::max({minx, miny, minz});
+  const i64 max_d = std::max({maxx, maxy, maxz});
+
+  const i64 band = policy.boundary_band();
+  bool shell_uniform = true;
+  bool in_shell = false;
+  if (band > 0) {
+    auto bd = [&](i64 lo, i64 hi) {
+      return std::pair<i64, i64>(std::min(lo, n - hi),
+                                 std::min(hi - 1, n - 1 - lo));
+    };
+    const auto [bx0, bx1] = bd(cell.lo.x, cell.hi.x);
+    const auto [by0, by1] = bd(cell.lo.y, cell.hi.y);
+    const auto [bz0, bz1] = bd(cell.lo.z, cell.hi.z);
+    const i64 min_bd = std::min({bx0, by0, bz0});
+    const i64 max_bd_bound = std::min({bx1, by1, bz1});
+    if (min_bd >= band) {
+      in_shell = false;
+    } else if (max_bd_bound < band) {
+      in_shell = true;
+    } else {
+      shell_uniform = (side == 1);
+      in_shell = min_bd < band;
+    }
+  }
+
+  const int c0 = reference_band_class(min_d, policy.bands());
+  const int c1 = reference_band_class(max_d, policy.bands());
+  bool rate_uniform = true;
+  for (int c = c0 + 1; c <= c1; ++c) {
+    if (reference_class_rate(c, policy) != reference_class_rate(c0, policy)) {
+      rate_uniform = false;
+    }
+  }
+  if ((rate_uniform || in_shell) && shell_uniform) {
+    out.push_back(OctreeCell{
+        corner, side,
+        in_shell ? 1 : std::min<i64>(policy.rate_at_distance(min_d), side),
+        0});
+    return;
+  }
+  if (side == 1) {
+    out.push_back(OctreeCell{corner, 1, 1, 0});
+    return;
+  }
+  const i64 h = side / 2;
+  for (i64 dz = 0; dz < 2; ++dz) {
+    for (i64 dy = 0; dy < 2; ++dy) {
+      for (i64 dx = 0; dx < 2; ++dx) {
+        reference_build(grid, dom, policy,
+                        {corner.x + dx * h, corner.y + dy * h,
+                         corner.z + dz * h},
+                        h, out);
+      }
+    }
+  }
+}
+
+/// Octree(grid, box, policy) must equal the reference build cell for cell,
+/// and octree_shape must report its counts.
+void expect_matches_reference(const Grid3& grid, const Box3& box,
+                              const SamplingPolicy& policy,
+                              const std::string& what) {
+  std::vector<OctreeCell> want;
+  reference_build(grid, box, policy, {0, 0, 0}, grid.nx, want);
+  const Octree tree(grid, box, policy);
+  const auto got = tree.cells();
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_TRUE(got[i].corner == want[i].corner &&
+                got[i].side == want[i].side && got[i].rate == want[i].rate)
+        << what << " cell " << i;
+  }
+  const OctreeShape shape = octree_shape(grid, box, policy);
+  EXPECT_EQ(shape.cells, got.size()) << what;
+  EXPECT_EQ(shape.samples, tree.total_samples()) << what;
+  EXPECT_EQ(shape.retained_planes, tree.retained_z_planes().size()) << what;
+}
+
+TEST(OctreeTables, MatchRecursivePredicateBuild) {
+  // Sub-domains at N in {8, 16, 32, 64} with N/k <= 8 — every 3rd, 11th,
+  // 61st and 199th (boundary-band trees at the larger N hold tens of
+  // thousands of cells; the full sweep is in EXPERIMENTS.md) — under
+  // paper_default with far rate {2, 4, 16} × boundary band {0, 1, 2} ×
+  // halo {0, 2, 3}, and uniform rates {1, 2, 4, 8} × band {0, 2}; then
+  // random non-cube boxes.
+  std::vector<SamplingPolicy> policies;
+  for (const i64 far : {2, 4, 16}) {
+    for (const i64 band : {0, 1, 2}) {
+      for (const i64 halo : {0, 2, 3}) {
+        policies.push_back(SamplingPolicy::paper_default(1, far, band, halo));
+      }
+    }
+  }
+  for (const i64 r : {1, 2, 4, 8}) {
+    for (const i64 band : {0, 2}) {
+      policies.push_back(SamplingPolicy::uniform(r, band));
+    }
+  }
+  const std::size_t paper_count = 27;
+  for (const i64 n : {8, 16, 32, 64}) {
+    const Grid3 g = Grid3::cube(n);
+    for (i64 k = n / 8; k <= n; k *= 2) {
+      const i64 per_axis = n / k;
+      const i64 stride = n == 8 ? 3 : n == 16 ? 11 : n == 32 ? 61 : 199;
+      for (i64 d = 0; d < per_axis * per_axis * per_axis; d += stride) {
+        const Box3 box = Box3::cube_at(
+            {(d % per_axis) * k, (d / per_axis % per_axis) * k,
+             (d / per_axis / per_axis) * k},
+            k);
+        for (std::size_t pi = 0; pi < policies.size(); ++pi) {
+          // paper_default's bands follow k: rebuild the policy for it.
+          const SamplingPolicy& base = policies[pi];
+          const SamplingPolicy policy =
+              pi < paper_count
+                  ? SamplingPolicy::paper_default(
+                        k, base.far_rate(), base.boundary_band(),
+                        std::vector<i64>{0, 2, 3}[pi % 3])
+                  : base;
+          expect_matches_reference(
+              g, box, policy,
+              "n " + std::to_string(n) + " box " + box.lo.str() + " k " +
+                  std::to_string(k) + " policy " + std::to_string(pi));
+          if (testing::Test::HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+  SplitMix64 rng(91);
+  for (int trial = 0; trial < 200; ++trial) {
+    const i64 n = i64{8} << rng.below(3);
+    const auto un = static_cast<std::uint64_t>(n);
+    Box3 box;
+    auto axis = [&](i64& lo, i64& hi) {
+      lo = static_cast<i64>(rng.below(un));
+      hi = lo + 1 +
+           static_cast<i64>(rng.below(un - static_cast<std::uint64_t>(lo)));
+    };
+    axis(box.lo.x, box.hi.x);
+    axis(box.lo.y, box.hi.y);
+    axis(box.lo.z, box.hi.z);
+    const SamplingPolicy& base = policies[rng.below(policies.size())];
+    const SamplingPolicy policy =
+        base.bands().empty()
+            ? base
+            : SamplingPolicy::paper_default(i64{1} << rng.below(4),
+                                            base.far_rate(),
+                                            base.boundary_band(),
+                                            static_cast<i64>(rng.below(4)));
+    expect_matches_reference(Grid3::cube(n), box, policy,
+                             "random box " + box.lo.str() + "-" +
+                                 box.hi.str());
+    if (testing::Test::HasFatalFailure()) return;
+  }
 }
 
 // Property test for the accumulation scan: the cells of a box's Morton key
